@@ -42,10 +42,6 @@ struct Options {
   std::string tier_spec;
   /// Tier demotion ("--demotion=on|off"); only meaningful on tiered specs.
   bool demotion = true;
-  /// Soft-TLB access fast path ("--stlb=on|off"). Host-side memoization
-  /// only: on and off produce event-identical simulations, so this knob
-  /// exists for determinism double-runs and host-cost A/B, not behaviour.
-  bool stlb = true;
 };
 
 /// The run's parsed options; parse_options() fills it so measurement helpers
@@ -71,7 +67,6 @@ inline void print_usage(const char* prog) {
                "          [--lock-model=coarse|range]\n"
                "          [--migration-mode=stop_and_copy|transactional]\n"
                "          [--tier-spec=SPEC] [--demotion=on|off]\n"
-               "          [--stlb=on|off]\n"
                "  --csv          machine-readable output\n"
                "  --quick        reduced sweeps for smoke runs\n"
                "  --metrics      print a metrics report to stderr on exit\n"
@@ -87,10 +82,7 @@ inline void print_usage(const char* prog) {
                "                 \"nodes=2 cores=4 tiers=fast:1,dram:1\");\n"
                "                 a tiered spec enables tier promote/demote\n"
                "  --demotion=D   tier demotion on|off (default on; only\n"
-               "                 meaningful with a tiered --tier-spec)\n"
-               "  --stlb=S       soft-TLB access fast path on|off (default\n"
-               "                 on; host-side only — simulated events are\n"
-               "                 identical either way)\n",
+               "                 meaningful with a tiered --tier-spec)\n",
                prog);
   if (extra_usage() != nullptr) std::fputs(extra_usage(), stderr);
 }
@@ -153,8 +145,7 @@ inline Options parse_options(int argc, char** argv) {
                                o.lock_model) ||
                parse_enum_flag(argv[0], a, "--migration-mode", kMigrationModes,
                                o.migration_mode) ||
-               parse_enum_flag(argv[0], a, "--demotion", kOnOff, o.demotion) ||
-               parse_enum_flag(argv[0], a, "--stlb", kOnOff, o.stlb)) {
+               parse_enum_flag(argv[0], a, "--demotion", kOnOff, o.demotion)) {
       // handled
     } else if (std::strncmp(a, "--tier-spec=", 12) == 0) {
       o.tier_spec = a + 12;
@@ -339,7 +330,6 @@ inline kern::KernelConfig phantom_kernel_config(const topo::Topology& t) {
   cfg.migration_mode = o.migration_mode;
   cfg.tiers.enabled = cfg.topology.tiered();
   cfg.tiers.demotion = o.demotion;
-  cfg.stlb = o.stlb;
   return cfg;
 }
 

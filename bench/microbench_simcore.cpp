@@ -48,7 +48,6 @@ kern::KernelConfig config_for(const topo::Topology& topo, kern::LockModel lm) {
   cfg.topology = topo;
   cfg.backing = mem::Backing::kPhantom;
   cfg.lock_model = lm;
-  cfg.stlb = bench::current_options().stlb;
   return cfg;
 }
 
@@ -166,14 +165,13 @@ std::uint64_t run_migrate_ranged(const topo::Topology& topo,
   return mix(h, k.stats().pages_migrated_move);
 }
 
-/// Soft-TLB best case: populate once, then hammer the same fully mapped
-/// same-node range with repeated whole-range reads. After the first read
-/// fills the extent descriptor every later access is a cache hit that skips
-/// the page walk entirely — the scenario the soft-TLB exists for. The
-/// checksum folds only simulated state (clock, faults), never the stlb
-/// hit/miss counters, so --stlb=on and --stlb=off rows must agree on it.
-std::uint64_t run_stlb_hot(const topo::Topology& topo, kern::LockModel lm,
-                           std::uint64_t pages) {
+/// Repeated walks of a hot range: populate once, then read the same fully
+/// mapped same-node range 64 times, so every access is a fault-free walk.
+/// (The name predates the removal of the soft-TLB, the per-thread walk cache
+/// this scenario was built for; it is kept so trajectory rows stay
+/// comparable.)
+std::uint64_t run_hot_range(const topo::Topology& topo, kern::LockModel lm,
+                            std::uint64_t pages) {
   kern::Kernel k(config_for(topo, lm));
   bench::observe(k);
   kern::ThreadCtx t;
@@ -187,12 +185,12 @@ std::uint64_t run_stlb_hot(const topo::Topology& topo, kern::LockModel lm,
   return mix(h, k.stats().minor_faults);
 }
 
-/// Soft-TLB worst case: every access is preceded by an mprotect over the
-/// range, which bumps the process mapping generation and invalidates every
-/// cached descriptor — so each access misses, walks, and refills. Bounds the
-/// overhead the cache adds when it never hits.
-std::uint64_t run_stlb_churn(const topo::Topology& topo, kern::LockModel lm,
-                             std::uint64_t pages) {
+/// A walk after mprotect: every read of the range follows an mprotect over
+/// it, so mprotect's PTE rewrite and the full walk alternate. (Named for the
+/// removed soft-TLB's invalidate-every-access case, kept for trajectory
+/// comparability.)
+std::uint64_t run_walk_after_mprotect(const topo::Topology& topo,
+                                      kern::LockModel lm, std::uint64_t pages) {
   kern::Kernel k(config_for(topo, lm));
   bench::observe(k);
   kern::ThreadCtx t;
@@ -217,8 +215,8 @@ constexpr Scenario kScenarios[] = {
     {"pt_walk", run_pt_walk},
     {"numab_scan", run_numab_scan},
     {"migrate_ranged", run_migrate_ranged},
-    {"stlb_hot", run_stlb_hot},
-    {"stlb_churn", run_stlb_churn},
+    {"stlb_hot", run_hot_range},
+    {"stlb_churn", run_walk_after_mprotect},
 };
 
 /// Parse "a,b,c" into unsigned values; exits 2 on junk.

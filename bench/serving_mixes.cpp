@@ -32,7 +32,7 @@
 // current hot shard resident off the tenant's node at phase end.
 //
 // All the machine-wide knobs compose: --lock-model, --migration-mode,
-// --stlb, --tier-spec (which replaces the per-policy topology).
+// --tier-spec (which replaces the per-policy topology).
 #include <array>
 #include <cstring>
 #include <string>

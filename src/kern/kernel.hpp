@@ -36,7 +36,6 @@
 #include "kern/numab.hpp"
 #include "kern/placement.hpp"
 #include "kern/replication.hpp"
-#include "kern/stlb.hpp"
 #include "kern/tiers.hpp"
 #include "kern/txn_migrate.hpp"
 #include "mem/phys.hpp"
@@ -64,10 +63,6 @@ struct ThreadCtx {
   /// (&process.numab.tasks[tid]; map nodes are pointer-stable and never
   /// erased). Avoids a tree lookup on every hint fault.
   NumabTaskStats* numab_ts = nullptr;
-  /// Per-thread software TLB of extent descriptors: lets access() skip the
-  /// PTE walk for extents proven quiet since the process's last mapping
-  /// change (see kern/stlb.hpp). Host-side only; simulated cost-identical.
-  SoftTlb stlb;
 };
 
 /// Information passed to a registered SIGSEGV handler.
@@ -154,11 +149,6 @@ struct KernelConfig {
   /// numa_balancing.enabled for the proactive paths (direct demotion under
   /// allocation pressure works regardless). See docs/memory-tiers.md.
   TierConfig tiers{};
-  /// Soft-TLB access fast path (kern/stlb.hpp): memoize walk results per
-  /// thread and skip the PTE walk when a cached extent descriptor is still
-  /// valid. Host-side speedup only — `stlb = false` is event-for-event
-  /// identical in simulated cost and output (CI double-runs both).
-  bool stlb = true;
 };
 
 /// Result of an access() call (MMU emulation).
@@ -212,11 +202,11 @@ struct KernelStats {
   std::uint64_t tier_promotions = 0;    ///< pages moved up-tier via numab/kmigrated
   std::uint64_t tier_demotions = 0;     ///< pages moved down-tier (daemon or direct)
   std::uint64_t tier_demote_passes = 0; ///< watermark/direct demotion walks run
-  // Soft-TLB access fast path (kern/stlb.hpp). Host-side instrumentation:
-  // hit/miss ratios never influence simulated behaviour.
-  std::uint64_t stlb_hits = 0;           ///< accesses served without a PTE walk
-  std::uint64_t stlb_misses = 0;         ///< lookups that fell to the slow walk
-  std::uint64_t stlb_invalidations = 0;  ///< mapping_gen bumps (all processes)
+  // Always 0: the soft-TLB these counted was removed. Retained only because
+  // perfbench/harness.cpp still reads them.
+  std::uint64_t stlb_hits = 0;
+  std::uint64_t stlb_misses = 0;
+  std::uint64_t stlb_invalidations = 0;
   /// Async kmigrated batches still in flight when the kernel was destroyed;
   /// accounted (never silently dropped) so an attached metrics registry
   /// keeps the evidence across kernel generations.
@@ -448,18 +438,10 @@ class Kernel {
   /// replica tables reference. Throws std::logic_error on violation.
   void validate(Pid pid) const;
 
-  /// Soft-TLB audit: additionally re-resolves every *current-generation*
-  /// descriptor in `t`'s software TLB against the page table — each covered
-  /// page must be present, on the descriptor's node, flag-quiet, and carry
-  /// the hardware permissions (and dirty bit, for write descriptors) the
-  /// fast path assumes. Stale-generation entries are skipped (that is the
-  /// invalidation design working). Throws std::logic_error on violation: a
-  /// forgotten mapping_gen bump site fails loudly here.
+  /// validate(t.pid), plus an audit of `t`'s host-side cache: numab_ts must
+  /// be null or point at t's own entry in its process's numab task table.
+  /// Throws std::logic_error on violation.
   void validate(const ThreadCtx& t) const;
-
-  /// Current mapping generation of `pid` (soft-TLB invalidation epoch).
-  /// Exposed for tests and diagnostics; bumps monotonically.
-  std::uint64_t mapping_generation(Pid pid) const { return proc(pid).mapping_gen; }
 
   /// Per-node used/free frame summary (numactl --hardware style).
   std::string meminfo() const;
@@ -507,11 +489,6 @@ class Kernel {
     // that maps, remaps, or unmaps a home frame keeps it current, and
     // validate() audits it against the page table.
     PlacementCounts placement;
-    // Soft-TLB invalidation epoch (kern/stlb.hpp): bumped by
-    // stlb_invalidate() at every site that can narrow what a cached extent
-    // descriptor promises. Descriptors stamped with an older generation
-    // simply miss; validate(const ThreadCtx&) audits the current ones.
-    std::uint64_t mapping_gen = 0;
   };
 
   Process& proc(Pid pid);
@@ -548,6 +525,18 @@ class Kernel {
                     AccessResult& res, CopyBatch* copies);
   bool do_handle_fault(ThreadCtx& t, Process& p, vm::Vaddr addr, vm::Prot want,
                        AccessResult& res, CopyBatch* copies);
+
+  /// The access walk shared by access() and access_strided(): resolves every
+  /// page of the extent [addr, end) in order, faulting it in as needed
+  /// (SegfaultError after kMaxFaultRetries), dirties and stamps it on a
+  /// write, resolves replicas on a read, and reports each page's serving
+  /// node and touched bytes to `on_page(node, bytes)`. `before_fault()` runs
+  /// ahead of every fault. PTEs are walked by pointer within each page-table
+  /// chunk, so the table is searched once per chunk or fault, not per page.
+  template <typename PageFn, typename FaultFn>
+  void walk_extent(ThreadCtx& t, Process& p, vm::Vaddr addr, vm::Vaddr end,
+                   vm::Prot want, topo::NodeId core_node, AccessResult& res,
+                   CopyBatch& copies, PageFn&& on_page, FaultFn&& before_fault);
 
   /// For a read of a kReplica page: the node whose copy serves `reader`,
   /// creating the reader-local replica (charged) on first use.
@@ -771,16 +760,6 @@ class Kernel {
   void charge(ThreadCtx& t, sim::Time dur, sim::CostKind kind) {
     t.clock += dur;
     t.stats.add(kind, dur);
-  }
-
-  /// Soft-TLB invalidation: retire every cached extent descriptor of `p` by
-  /// advancing its mapping generation. Called from every site that narrows a
-  /// mapping (unmap, protection/flag surgery, migration commits, numab
-  /// tagging, txn arming, policy changes). Over-calling is always safe —
-  /// the cost is extra stlb misses, never wrong simulation.
-  void stlb_invalidate(Process& p) {
-    ++p.mapping_gen;
-    ++kstats_.stlb_invalidations;
   }
 
   /// mm tracepoint: an instant event named after the legacy EventType. The

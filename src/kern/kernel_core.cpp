@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <limits>
 #include <sstream>
 #include <unordered_set>
 
@@ -109,9 +108,6 @@ void Kernel::set_metrics(obs::Registry* reg) {
   reg->bind_counter("kern.tier.promotions", &kstats_.tier_promotions);
   reg->bind_counter("kern.tier.demotions", &kstats_.tier_demotions);
   reg->bind_counter("kern.tier.demote_passes", &kstats_.tier_demote_passes);
-  reg->bind_counter("kern.stlb.hits", &kstats_.stlb_hits);
-  reg->bind_counter("kern.stlb.misses", &kstats_.stlb_misses);
-  reg->bind_counter("kern.stlb.invalidations", &kstats_.stlb_invalidations);
   reg->bind_gauge("kern.tier.fast_occupancy", [this] { return fast_occupancy_pct(); });
 
   for (topo::NodeId n = 0; n < topo_.num_nodes(); ++n) {
@@ -279,9 +275,7 @@ sim::Time Kernel::shootdown_cost(const ThreadCtx& t) {
 }
 
 void Kernel::set_task_policy(Pid pid, const vm::MemPolicy& pol) {
-  Process& p = proc(pid);
-  p.task_policy = pol;
-  stlb_invalidate(p);  // policy-change site (uniform with sys_set_mempolicy)
+  proc(pid).task_policy = pol;
 }
 
 void Kernel::with_pt_lock(ThreadCtx& t, Process& p, sim::Time hold,
@@ -520,7 +514,6 @@ Kernel::MigrateResult Kernel::do_migrate_page(ThreadCtx& t, Process& p,
   phys_.free(old_frame);
   pte.frame = new_frame;
   p.placement.move(vpn, from, phys_.node_of(new_frame));
-  stlb_invalidate(p);  // the page changed nodes under any cached descriptor
   return MigrateResult::kOk;
 }
 
@@ -748,20 +741,62 @@ bool Kernel::do_handle_fault(ThreadCtx& t, Process& p, vm::Vaddr addr,
   return false;
 }
 
+template <typename PageFn, typename FaultFn>
+void Kernel::walk_extent(ThreadCtx& t, Process& p, vm::Vaddr addr,
+                         vm::Vaddr end, vm::Prot want, topo::NodeId core_node,
+                         AccessResult& res, CopyBatch& copies, PageFn&& on_page,
+                         FaultFn&& before_fault) {
+  vm::PageTable& pt = p.as.page_table();
+  const bool writing = prot_allows(want, vm::Prot::kWrite);
+  vm::Vpn vpn = vm::vpn_of(addr);
+  const vm::Vpn vpn_end = vm::vpn_of(end - 1) + 1;
+  // PTEs are walked by pointer within each 512-entry chunk (arena-backed,
+  // address-stable even when a fault grows the table): one find() per
+  // chunk/fault instead of one per page. Fault handling and the per-page
+  // reports happen in exactly per-page order.
+  while (vpn < vpn_end) {
+    const vm::Vaddr fault_addr = std::max(addr, vm::addr_of(vpn));
+    vm::Pte* pte = pt.find(vpn);
+    unsigned retries = 0;
+    while (pte == nullptr || !pte->hw_allows(want)) {
+      before_fault();
+      if (++retries > kMaxFaultRetries) throw SegfaultError{fault_addr};
+      handle_fault(t, p, fault_addr, want, res, &copies);
+      pte = pt.find(vpn);
+    }
+    const vm::Vpn chunk_end =
+        std::min(vpn_end, (vpn | (vm::PageTable::kChunkPages - 1)) + 1);
+    for (;;) {
+      const vm::Vaddr page_start = vm::addr_of(vpn);
+      const vm::Vaddr lo = std::max(addr, page_start);
+      const vm::Vaddr hi = std::min(end, page_start + mem::kPageSize);
+      if (writing) {
+        pte->set(vm::Pte::kDirty);
+        ++pte->write_gen;
+      }
+      topo::NodeId node = phys_.node_of(pte->frame);
+      if ((pte->flags & vm::Pte::kReplica) && !writing)
+        node = resolve_replica(t, p, *pte, vpn, core_node, &copies);
+      on_page(node, hi - lo);
+      ++res.pages;
+      ++vpn;
+      if (vpn == chunk_end) break;
+      ++pte;
+      if (!pte->hw_allows(want)) break;  // back to the fault path
+    }
+  }
+}
+
 AccessResult Kernel::access(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len,
                             vm::Prot want, double stream_rate_bytes_per_us) {
   AccessResult res;
   if (len == 0) return res;
   Process& p = proc(t.pid);
-  vm::PageTable& pt = p.as.page_table();
   const topo::NodeId core_node = topo_.node_of_core(t.core);
   numab_tick(t, p);
   const sim::Time entry = t.clock;
   CopyBatch copies;
-
   const vm::Vaddr end = addr + len;
-  vm::Vpn vpn = vm::vpn_of(addr);
-  const vm::Vpn vpn_end = vm::vpn_of(end - 1) + 1;
 
   // Contiguous same-node runs are charged as one stream.
   const MemDir dir =
@@ -780,99 +815,15 @@ AccessResult Kernel::access(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len,
     t.clock = s.finish + lat;
     run_bytes = 0;
   };
-
-  const bool writing = prot_allows(want, vm::Prot::kWrite);
-
-  // Soft-TLB fast path: a current-generation descriptor covering the whole
-  // extent proves every page is mapped, same-node, flag-quiet, and (for
-  // writes) already dirty — so the walk below would charge exactly one
-  // stream of `len` bytes from that node and change nothing. Charge that
-  // stream through the identical flush_run arithmetic and return. All other
-  // AccessResult fields stay zero, as the slow path would leave them, and
-  // the tail (copy batch, migration serialization, numab flush) is a no-op
-  // on such an extent by construction.
-  if (cfg_.stlb) {
-    if (const SoftTlb::Entry* e =
-            t.stlb.lookup(t.pid, p.mapping_gen, vpn, vpn_end, want)) {
-      ++kstats_.stlb_hits;
-      run_node = e->node;
-      run_bytes = len;  // per-page (hi - lo) over a contiguous extent sums to len
-      flush_run();
-      res.pages = vpn_end - vpn;
-      if (!p.numab.pending.empty()) numab_flush_promotions(t, p);
-      return res;
-    }
-    ++kstats_.stlb_misses;
-  }
-
-  // Soft-TLB fill: the walk doubles as the proof. Track whether this extent
-  // came out fault-free, single-node, and flag-quiet, and which hardware
-  // permissions (plus the dirty bit, for write reuse) held on every page.
-  const vm::Vpn vpn0 = vpn;
-  bool stlb_elig = cfg_.stlb;
-  bool stlb_read_ok = true;
-  bool stlb_write_ok = true;
-  topo::NodeId stlb_node = topo::kInvalidNode;
-
-  // PTEs are walked by pointer within each 512-entry chunk (arena-backed,
-  // address-stable even when a fault grows the table): one find() per
-  // chunk/fault instead of one per page. Fault handling and the per-page
-  // stream accounting happen in exactly the per-page order of old code.
-  while (vpn < vpn_end) {
-    vm::Pte* pte = pt.find(vpn);
-    unsigned retries = 0;
-    while (pte == nullptr || !pte->hw_allows(want)) {
-      flush_run();
-      stlb_elig = false;  // a faulting extent is not walk-free reusable
-      if (++retries > kMaxFaultRetries)
-        throw SegfaultError{std::max(addr, vm::addr_of(vpn))};
-      handle_fault(t, p, std::max(addr, vm::addr_of(vpn)), want, res, &copies);
-      pte = pt.find(vpn);
-    }
-    const vm::Vpn chunk_end =
-        std::min(vpn_end, (vpn | (vm::PageTable::kChunkPages - 1)) + 1);
-    for (;;) {
-      const vm::Vaddr page_start = vm::addr_of(vpn);
-      const vm::Vaddr lo = std::max(addr, page_start);
-      const vm::Vaddr hi = std::min(end, page_start + mem::kPageSize);
-      if (stlb_elig) {
-        const std::uint16_t fl = pte->flags;  // pre-mutation flags
-        if (fl & vm::Pte::kStlbExcluded) stlb_elig = false;
-        stlb_read_ok = stlb_read_ok && (fl & vm::Pte::kHwRead) != 0;
-        stlb_write_ok = stlb_write_ok && (fl & vm::Pte::kHwWrite) != 0 &&
-                        (writing || (fl & vm::Pte::kDirty) != 0);
-      }
-      if (writing) {
-        pte->set(vm::Pte::kDirty);
-        ++pte->write_gen;
-      }
-      topo::NodeId node = phys_.node_of(pte->frame);
-      if ((pte->flags & vm::Pte::kReplica) && !writing)
-        node = resolve_replica(t, p, *pte, vpn, core_node, &copies);
-      if (stlb_node == topo::kInvalidNode) {
-        stlb_node = node;
-      } else if (node != stlb_node) {
-        stlb_elig = false;  // extent spans nodes: one-stream replay is wrong
-      }
-      if (node != run_node) flush_run();
-      run_node = node;
-      run_bytes += hi - lo;
-      ++res.pages;
-      ++vpn;
-      if (vpn == chunk_end) break;
-      ++pte;
-      if (!pte->hw_allows(want)) break;  // back to the fault path
-    }
-  }
+  walk_extent(
+      t, p, addr, end, want, core_node, res, copies,
+      [&](topo::NodeId node, std::uint64_t bytes) {
+        if (node != run_node) flush_run();
+        run_node = node;
+        run_bytes += bytes;
+      },
+      flush_run);
   flush_run();
-  if (stlb_elig && (stlb_read_ok || stlb_write_ok) &&
-      vpn_end - vpn0 <= std::numeric_limits<std::uint32_t>::max()) {
-    std::uint8_t prot = 0;
-    if (stlb_read_ok) prot |= SoftTlb::kReadOk;
-    if (stlb_write_ok) prot |= SoftTlb::kWriteOk;
-    t.stlb.insert({vpn0, static_cast<std::uint32_t>(vpn_end - vpn0), t.pid,
-                   p.mapping_gen, stlb_node, prot});
-  }
   flush_copy_batch(t, copies, sim::CostKind::kNextTouchCopy);
   if (cfg_.lock_model == LockModel::kRange) {
     serialize_migration_ranged(t, p, addr, end, entry, res.nexttouch_migrations,
@@ -903,7 +854,6 @@ AccessResult Kernel::access_strided(ThreadCtx& t, vm::Vaddr base,
   AccessResult res;
   if (rows == 0 || row_bytes == 0) return res;
   Process& p = proc(t.pid);
-  vm::PageTable& pt = p.as.page_table();
   const topo::NodeId core_node = topo_.node_of_core(t.core);
   numab_tick(t, p);
   const sim::Time entry = t.clock;
@@ -911,75 +861,12 @@ AccessResult Kernel::access_strided(ThreadCtx& t, vm::Vaddr base,
 
   // Per-node byte buckets, charged in bulk at the end.
   std::vector<std::uint64_t> bytes_from(topo_.num_nodes(), 0);
-
-  const bool writing = prot_allows(want, vm::Prot::kWrite);
   for (std::uint64_t r = 0; r < rows; ++r) {
     const vm::Vaddr row_start = base + r * stride_bytes;
-    const vm::Vaddr row_end = row_start + row_bytes;
-    const vm::Vpn rv0 = vm::vpn_of(row_start);
-    const vm::Vpn rv_end = vm::vpn_of(row_end - 1) + 1;
-
-    // Each row is one contiguous extent: same soft-TLB contract as access().
-    // A hit fills the same per-node bucket the per-page walk would (the
-    // (hi - lo) shares of one row sum to row_bytes).
-    if (cfg_.stlb) {
-      if (const SoftTlb::Entry* e =
-              t.stlb.lookup(t.pid, p.mapping_gen, rv0, rv_end, want)) {
-        ++kstats_.stlb_hits;
-        bytes_from[e->node] += row_bytes;
-        res.pages += rv_end - rv0;
-        continue;
-      }
-      ++kstats_.stlb_misses;
-    }
-    bool stlb_elig = cfg_.stlb;
-    bool stlb_read_ok = true;
-    bool stlb_write_ok = true;
-    topo::NodeId stlb_node = topo::kInvalidNode;
-
-    for (vm::Vpn vpn = rv0; vpn < rv_end; ++vpn) {
-      const vm::Vaddr page_start = vm::addr_of(vpn);
-      const vm::Vaddr lo = std::max(row_start, page_start);
-      const vm::Vaddr hi = std::min(row_end, page_start + mem::kPageSize);
-
-      vm::Pte* pte = pt.find(vpn);
-      unsigned retries = 0;
-      while (pte == nullptr || !pte->hw_allows(want)) {
-        stlb_elig = false;
-        if (++retries > kMaxFaultRetries) throw SegfaultError{lo};
-        handle_fault(t, p, lo, want, res, &copies);
-        pte = pt.find(vpn);
-      }
-      if (stlb_elig) {
-        const std::uint16_t fl = pte->flags;  // pre-mutation flags
-        if (fl & vm::Pte::kStlbExcluded) stlb_elig = false;
-        stlb_read_ok = stlb_read_ok && (fl & vm::Pte::kHwRead) != 0;
-        stlb_write_ok = stlb_write_ok && (fl & vm::Pte::kHwWrite) != 0 &&
-                        (writing || (fl & vm::Pte::kDirty) != 0);
-      }
-      if (writing) {
-        pte->set(vm::Pte::kDirty);
-        ++pte->write_gen;
-      }
-      topo::NodeId node = phys_.node_of(pte->frame);
-      if ((pte->flags & vm::Pte::kReplica) && !writing)
-        node = resolve_replica(t, p, *pte, vpn, core_node, &copies);
-      if (stlb_node == topo::kInvalidNode) {
-        stlb_node = node;
-      } else if (node != stlb_node) {
-        stlb_elig = false;
-      }
-      bytes_from[node] += hi - lo;
-      ++res.pages;
-    }
-    if (stlb_elig && (stlb_read_ok || stlb_write_ok) &&
-        rv_end - rv0 <= std::numeric_limits<std::uint32_t>::max()) {
-      std::uint8_t prot = 0;
-      if (stlb_read_ok) prot |= SoftTlb::kReadOk;
-      if (stlb_write_ok) prot |= SoftTlb::kWriteOk;
-      t.stlb.insert({rv0, static_cast<std::uint32_t>(rv_end - rv0), t.pid,
-                     p.mapping_gen, stlb_node, prot});
-    }
+    walk_extent(
+        t, p, row_start, row_start + row_bytes, want, core_node, res, copies,
+        [&](topo::NodeId node, std::uint64_t bytes) { bytes_from[node] += bytes; },
+        [] {});
   }
 
   if (bytes_by_node != nullptr) {
@@ -1096,7 +983,6 @@ void Kernel::teardown_unmap(Pid pid, vm::Vaddr addr, std::uint64_t len) {
   };
   p.as.page_table().for_each_run(vm::vpn_of(addr), vend, teardown_run);
   p.as.unmap(addr, len);
-  stlb_invalidate(p);
 }
 
 topo::NodeId Kernel::page_node(Pid pid, vm::Vaddr addr) const {
@@ -1272,32 +1158,11 @@ void Kernel::validate(Pid pid) const {
 
 void Kernel::validate(const ThreadCtx& t) const {
   validate(t.pid);
-  // Soft-TLB audit: re-resolve every current-generation descriptor against
-  // the page table. Each covered page must still deliver exactly what the
-  // fast path replays without walking: present, on the descriptor's node,
-  // free of the excluded flags, readable/writable in hardware as recorded,
-  // and dirty wherever a write descriptor would skip the dirty-set. A
-  // violation means some mapping mutation forgot its stlb_invalidate().
-  t.stlb.for_each([&](const SoftTlb::Entry& e) {
-    const Process& p = proc(e.pid);
-    if (e.gen != p.mapping_gen) return;  // stale by design: misses harmlessly
-    const vm::PageTable& pt = p.as.page_table();
-    for (vm::Vpn v = e.first; v < e.first + e.pages; ++v) {
-      const vm::Pte* pte = pt.find(v);
-      if (pte == nullptr || !pte->present())
-        throw std::logic_error{"validate: stlb descriptor covers absent page"};
-      if (phys_.node_of(pte->frame) != e.node)
-        throw std::logic_error{"validate: stlb descriptor node drift"};
-      if (pte->flags & vm::Pte::kStlbExcluded)
-        throw std::logic_error{"validate: stlb descriptor over flagged page"};
-      if ((e.prot & SoftTlb::kReadOk) && !(pte->flags & vm::Pte::kHwRead))
-        throw std::logic_error{"validate: stlb read descriptor lost hw read"};
-      if ((e.prot & SoftTlb::kWriteOk) &&
-          (!(pte->flags & vm::Pte::kHwWrite) || !(pte->flags & vm::Pte::kDirty)))
-        throw std::logic_error{
-            "validate: stlb write descriptor over clean/protected page"};
-    }
-  });
+  if (t.numab_ts == nullptr) return;
+  const auto& tasks = proc(t.pid).numab.tasks;
+  const auto it = tasks.find(t.tid);
+  if (it == tasks.end() || &it->second != t.numab_ts)
+    throw std::logic_error{"validate: numab_ts is not the thread's own task entry"};
 }
 
 std::string Kernel::meminfo() const {

@@ -30,7 +30,6 @@ vm::Vaddr Kernel::sys_mmap(ThreadCtx& t, std::uint64_t len, vm::Prot prot,
   } else {
     charge(t, cost_.mmap_base, sim::CostKind::kSyscallEntry);
   }
-  stlb_invalidate(p);  // map site: address-space layout changed
   return p.as.map(len, prot, policy, std::move(name), huge);
 }
 
@@ -57,7 +56,6 @@ SyscallResult Kernel::sys_munmap(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len
   };
   p.as.page_table().for_each_run(vm::vpn_of(addr), vend, free_run);
   p.as.unmap(addr, len);
-  stlb_invalidate(p);  // unmap site: cached descriptors may cover freed pages
   if (cfg_.lock_model == LockModel::kRange) {
     // One exclusive whole-space hold covers base + teardown + shootdown.
     const sim::Time work = cost_.munmap_base + cost_.munmap_page * present +
@@ -118,7 +116,6 @@ SyscallResult Kernel::do_mprotect(ThreadCtx& t, vm::Vaddr addr, std::uint64_t le
     p.as.page_table().for_each_run(vm::vpn_of(vma.start), vm::vpn_of(vma.end),
                                    rewrite_run);
   });
-  stlb_invalidate(p);  // protect site: hw permission bits rewritten
 
   const sim::Time work = cost_.mprotect_base + cost_.mprotect_page * present +
                          shootdown_cost(t);
@@ -176,7 +173,6 @@ SyscallResult Kernel::do_madvise(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len
         }
       };
       p.as.page_table().for_each_run(vm::vpn_of(addr), vend, drop_run);
-      stlb_invalidate(p);  // remap site: PTEs dropped to not-present
       const sim::Time work = cost_.madvise_base + cost_.page_free * dropped +
                              shootdown_cost(t);
       charge(t, work, sim::CostKind::kMadvise);
@@ -201,7 +197,6 @@ SyscallResult Kernel::do_madvise(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len
         }
       };
       p.as.page_table().for_each_run(vm::vpn_of(addr), vend, arm_run);
-      stlb_invalidate(p);  // flag site: kReplica set / hw write cleared
       const sim::Time work = cost_.madvise_base + cost_.madvise_page_mark * marked +
                              shootdown_cost(t);
       charge(t, work, sim::CostKind::kMadvise);
@@ -233,7 +228,6 @@ SyscallResult Kernel::do_madvise(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len
         }
       };
       p.as.page_table().for_each_run(vm::vpn_of(addr), vend, mark_run);
-      stlb_invalidate(p);  // flag site: kNextTouch armed, hw bits cleared
       trace(t, EventType::kNextTouchMark, vm::vpn_of(addr), marked);
       const sim::Time work = cost_.madvise_base + cost_.madvise_page_mark * marked +
                              shootdown_cost(t);
@@ -277,7 +271,6 @@ SyscallResult Kernel::do_mbind(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len,
   if (policy.mode != vm::PolicyMode::kDefault && policy.nodes == 0) return -kEINVAL;
   charge(t, cost_.syscall_entry + cost_.madvise_base, sim::CostKind::kSyscallEntry);
   p.as.for_range(addr, addr + len, [&](vm::Vma& vma) { vma.policy = policy; });
-  stlb_invalidate(p);  // policy-change site (migrations below bump again)
   if (!move_existing) return 0;
 
   // MPOL_MF_MOVE: migrate already-present pages that violate the policy.
@@ -320,9 +313,7 @@ SyscallResult Kernel::do_mbind(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len,
 SyscallResult Kernel::sys_set_mempolicy(ThreadCtx& t, const vm::MemPolicy& policy) {
   charge(t, cost_.syscall_entry, sim::CostKind::kSyscallEntry);
   if (policy.mode != vm::PolicyMode::kDefault && policy.nodes == 0) return -kEINVAL;
-  Process& p = proc(t.pid);
-  p.task_policy = policy;
-  stlb_invalidate(p);  // policy-change site
+  proc(t.pid).task_policy = policy;
   return 0;
 }
 
@@ -557,11 +548,9 @@ void Kernel::move_pages_chunk(ThreadCtx& t, std::span<const vm::Vaddr> chunk,
     ++kstats_.pages_migrated_move;
   }
   }  // stop-and-copy path
-  if (!moves.empty()) {
-    stlb_invalidate(p);  // migrate site: stop-and-copy commits flip frames here
+  if (!moves.empty())
     trace(t, EventType::kMovePages, vm::vpn_of(chunk[moves.front().i]), moves.size(),
           moves.front().from, moves.front().to);
-  }
   if (cfg_.lock_model == LockModel::kRange) {
     serialize_migration_ranged(t, p, span_lo, span_hi, entry, moves.size(),
                                migrate_serial_per_page(cost_.range_serial_per_page));
@@ -796,7 +785,6 @@ SyscallResult Kernel::do_migrate_pages(ThreadCtx& t, Pid target,
       ++migrated;
       ++kstats_.pages_migrated_process;
     }
-    stlb_invalidate(p);  // migrate site: batch commit flipped frames above
     if (cfg_.lock_model == LockModel::kRange) {
       serialize_migration_ranged(t, p, vm::addr_of(batch.front().vpn),
                                  vm::addr_of(batch.back().vpn) + mem::kPageSize,

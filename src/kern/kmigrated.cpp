@@ -168,11 +168,6 @@ std::uint64_t Kernel::submit_kmigrated_batch(ThreadCtx& t, Process& p,
   };
   p.as.page_table().for_each_run(vm::vpn_of(addr), vend, batch_run);
   if (moved > 0) {
-    // Migrate site: the stop-and-copy arm flips frames inline above (the
-    // txn arm already bumped per commit). The next-touch resolution alone
-    // needs no bump — NT pages cannot sit under a current-generation
-    // descriptor, since arming them bumped the generation.
-    stlb_invalidate(p);
     // One coalesced shootdown round for the whole batch. (Each transactional
     // commit only flushed locally; the remote round lands here.)
     const sim::Time round = cost_.tlb_shootdown_round(topo_.num_cores(), moved);

@@ -143,9 +143,6 @@ void Kernel::numab_scan(ThreadCtx& t, Process& p) {
 
   kstats_.numab_pages_scanned += marked;
   if (marked > 0) {
-    // Tagging site: kNumaHint set / hw bits cleared on the marked pages, so
-    // cached soft-TLB descriptors covering them must stop hitting.
-    stlb_invalidate(p);
     charge(t, cost_.numab_scan_page * marked, sim::CostKind::kNumaScan);
     // change_prot_numa flushes the TLBs once per window, not per page.
     charge(t, shootdown_round(marked), sim::CostKind::kTlbShootdown);

@@ -132,10 +132,6 @@ std::uint64_t Kernel::tier_demote(ThreadCtx& t, Process& p, topo::NodeId node,
     demoted += submit_kmigrated_batch(t, p, vm::addr_of(first),
                                       npages * mem::kPageSize, target, t.clock,
                                       /*defer_on_degrade=*/false);
-    // Soft-TLB note: the page moves themselves bumped mapping_gen inside
-    // submit_kmigrated_batch; the hysteresis reset below touches only
-    // numa_last/numa_idle (no mapping, flag, or permission change), so no
-    // further invalidation is needed here.
     // Hysteresis: a freshly demoted page must re-earn its promotion with two
     // hint faults from the same node, so one stray touch inside the next
     // scan window cannot bounce it straight back up.

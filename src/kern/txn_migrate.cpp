@@ -101,13 +101,6 @@ void TxnMigrator::do_write_protect(ThreadCtx& t) {
   k_.charge(t, k_.cost_.pte_update + k_.cost_.tlb_flush_local, control_kind_);
   pte->clear(vm::Pte::kHwWrite);
   pte->set(vm::Pte::kTxn);
-  // Txn-arm site — and the linchpin of the soft-TLB's write_gen argument:
-  // from here on a cached write descriptor could let a fast-path write skip
-  // the ++write_gen this migrator's dirty check watches. Bumping the mapping
-  // generation HERE guarantees every write between arm and commit/abort
-  // misses the cache and takes the slow path (faulting on the cleared
-  // kHwWrite), which bumps write_gen as the dirty check requires.
-  k_.stlb_invalidate(k_.proc(pid_));
   state_ = TxnState::kVerifyClean;
 }
 
@@ -146,7 +139,6 @@ void TxnMigrator::do_commit(ThreadCtx& t) {
   shadow_ = mem::kInvalidFrame;
   pte->clear(vm::Pte::kTxn | vm::Pte::kHwRead | vm::Pte::kHwWrite);
   pte->set(hw_bits_);
-  k_.stlb_invalidate(k_.proc(pid_));  // migrate site: frame flipped above
   ++k_.kstats_.txn_commits;
   if (k_.h_txn_retries_ != nullptr) k_.h_txn_retries_->record(retries_);
   k_.trace(t, EventType::kTxnCommit, vpn_, 1, from, target_);
@@ -178,9 +170,6 @@ void TxnMigrator::do_abort(ThreadCtx& t) {
     k_.charge(t, k_.cost_.pte_update, control_kind_);
     pte->clear(vm::Pte::kTxn | vm::Pte::kHwRead | vm::Pte::kHwWrite);
     pte->set(hw_bits_);
-    // Restoring hw bits only widens, but bump anyway: cheap, and keeps the
-    // rule simple — every txn state that rewrites a PTE invalidates.
-    k_.stlb_invalidate(k_.proc(pid_));
   }
   ++k_.kstats_.txn_aborted;
   k_.trace(t, EventType::kTxnAbort, vpn_, 1, topo::kInvalidNode, target_);

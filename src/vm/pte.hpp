@@ -49,14 +49,6 @@ struct Pte {
   /// the migration; the verify step then sees the dirtied generation.
   static constexpr std::uint16_t kTxn = 1u << 9;
 
-  /// Flags that make a page ineligible for the soft-TLB extent cache
-  /// (kern/stlb.hpp): each marks pending per-page work — replica resolution,
-  /// a migration transaction, a next-touch or NUMA-hint fault — that the
-  /// walk-free fast path could not perform. Shared by the access() fill
-  /// paths and the validate() descriptor audit so they can never disagree.
-  static constexpr std::uint16_t kStlbExcluded =
-      kNextTouch | kReplica | kNumaHint | kTxn;
-
   /// `numa_last` value meaning "no hint fault recorded yet".
   static constexpr std::uint8_t kNoNumaNode = 0xFF;
 

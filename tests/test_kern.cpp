@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "kern/kernel.hpp"
@@ -27,6 +28,11 @@ class KernelTest : public ::testing::Test {
     t.pid = pid_;
     t.core = core;
     return t;
+  }
+
+  /// The PTE behind `addr` (nullptr when its page-table chunk is absent).
+  const vm::Pte* pte_of(vm::Vaddr addr) {
+    return k_.address_space(pid_).page_table().find(vm::vpn_of(addr));
   }
 
   std::vector<vm::Vaddr> pages_of(vm::Vaddr addr, std::uint64_t len) {
@@ -569,6 +575,183 @@ TEST_F(KernelTest, PlacementCountsMatchPerPageWalkAcrossChunks) {
                           300 * mem::kPageSize),
             0);
   check_all(a, (npages - 300) * mem::kPageSize);
+}
+
+// --- the access walk shared by access() and access_strided() ------------------
+
+TEST_F(KernelTest, AccessLenZeroTouchesNothing) {
+  ThreadCtx t = ctx_on(0);
+  const std::uint64_t len = 4 * mem::kPageSize;
+  const vm::Vaddr a = k_.sys_mmap(t, len, vm::Prot::kReadWrite);
+  const sim::Time before = t.clock;
+  const AccessResult r = k_.access(t, a, 0, vm::Prot::kRead, 3500.0);
+  EXPECT_EQ(r.pages, 0u);
+  EXPECT_EQ(r.minor_faults, 0u);
+  // Zero rows and zero-byte rows are the strided path's empty extents.
+  EXPECT_EQ(k_.access_strided(t, a, 0, 1024, mem::kPageSize, vm::Prot::kRead,
+                              3500.0).pages,
+            0u);
+  EXPECT_EQ(k_.access_strided(t, a, 4, 0, mem::kPageSize, vm::Prot::kRead,
+                              3500.0).pages,
+            0u);
+  EXPECT_EQ(t.clock, before);
+  EXPECT_EQ(k_.stats().minor_faults, 0u);
+  EXPECT_EQ(pte_of(a), nullptr);
+}
+
+TEST_F(KernelTest, AccessChunkBoundarySpanWithMidExtentFault) {
+  // > 512 pages guarantees the extent crosses at least one page-table chunk
+  // boundary wherever mmap placed it.
+  ThreadCtx t0 = ctx_on(0);
+  const std::uint64_t pages = 1200;
+  const std::uint64_t len = pages * mem::kPageSize;
+  const vm::Vaddr a = k_.sys_mmap(t0, len, vm::Prot::kReadWrite);
+  k_.access(t0, a, len, vm::Prot::kWrite, 3500.0);
+  // Drop one page in the middle of the extent, past the first chunk.
+  const vm::Vaddr hole = a + 700 * mem::kPageSize;
+  ASSERT_EQ(k_.sys_madvise(t0, hole, mem::kPageSize, Advice::kDontNeed), 0);
+
+  // A node-1 reader refaults the hole mid-extent and walks on past it.
+  ThreadCtx t1 = ctx_on(4);
+  const AccessResult r = k_.access(t1, a, len, vm::Prot::kRead, 3500.0);
+  EXPECT_EQ(r.pages, pages);
+  EXPECT_EQ(r.minor_faults, 1u);
+  EXPECT_EQ(k_.page_node(pid_, hole), 1u);
+  EXPECT_EQ(k_.pages_on_node(pid_, a, len, 0), pages - 1);
+  EXPECT_GT(t1.stats.get(sim::CostKind::kPageFault), 0u);
+  EXPECT_NO_THROW(k_.validate(t1));
+}
+
+TEST_F(KernelTest, WriteAfterReadPopulateDirtiesAndStampsEveryPage) {
+  ThreadCtx t = ctx_on(0);
+  const std::uint64_t pages = 8;
+  const std::uint64_t len = pages * mem::kPageSize;
+  const vm::Vaddr a = k_.sys_mmap(t, len, vm::Prot::kReadWrite);
+  k_.access(t, a, len, vm::Prot::kRead, 3500.0);  // populate clean pages
+  for (vm::Vaddr p : pages_of(a, len)) {
+    ASSERT_NE(pte_of(p), nullptr);
+    EXPECT_FALSE(pte_of(p)->flags & vm::Pte::kDirty);
+    EXPECT_EQ(pte_of(p)->write_gen, 0u);
+  }
+  k_.access(t, a, len, vm::Prot::kWrite, 3500.0);
+  for (vm::Vaddr p : pages_of(a, len)) {
+    EXPECT_TRUE(pte_of(p)->flags & vm::Pte::kDirty);
+    EXPECT_EQ(pte_of(p)->write_gen, 1u);
+  }
+  // The strided path stamps through the same walk: 1 KiB of every other page.
+  k_.access_strided(t, a, pages / 2, 1024, 2 * mem::kPageSize, vm::Prot::kWrite,
+                    3500.0);
+  for (std::uint64_t i = 0; i < pages; ++i)
+    EXPECT_EQ(pte_of(a + i * mem::kPageSize)->write_gen, i % 2 == 0 ? 2u : 1u);
+}
+
+TEST_F(KernelTest, StridedSingleRowChargesLikeAccess) {
+  // A fault-free single-node extent is one stream either way: access()
+  // flushes one run, access_strided() one node bucket. Probe at idle
+  // instants so queueing cannot skew the comparison.
+  ThreadCtx t = ctx_on(0);
+  const std::uint64_t len = 64 * mem::kPageSize;
+  const vm::Vaddr a = k_.sys_mmap(t, len, vm::Prot::kReadWrite);
+  k_.access(t, a, len, vm::Prot::kWrite, 3500.0);
+  const vm::Vaddr start = a + 100;
+  const std::uint64_t bytes = 5 * mem::kPageSize + 300;  // ragged both ends
+  ThreadCtx t1 = ctx_on(4);
+  t1.clock = sim::seconds(100);
+  const AccessResult r1 = k_.access(t1, start, bytes, vm::Prot::kRead, 3500.0);
+  ThreadCtx t2 = ctx_on(4);
+  t2.clock = sim::seconds(200);
+  const AccessResult r2 = k_.access_strided(t2, start, 1, bytes, bytes,
+                                            vm::Prot::kRead, 3500.0);
+  EXPECT_EQ(r1.pages, 6u);
+  EXPECT_EQ(r2.pages, 6u);
+  EXPECT_EQ(t1.clock - sim::seconds(100), t2.clock - sim::seconds(200));
+}
+
+TEST_F(KernelTest, StridedRowsSpanChunkBoundaryAndFaultMidRow) {
+  ThreadCtx t0 = ctx_on(0);
+  const std::uint64_t rows = 2;
+  const std::uint64_t row_pages = 1100;  // each row crosses a chunk boundary
+  const std::uint64_t stride = 1200 * mem::kPageSize;
+  const vm::Vaddr a = k_.sys_mmap(t0, rows * stride, vm::Prot::kReadWrite);
+  k_.access(t0, a, rows * stride, vm::Prot::kWrite, 3500.0);
+  for (std::uint64_t r = 0; r < rows; ++r)
+    ASSERT_EQ(k_.sys_madvise(t0, a + r * stride + 700 * mem::kPageSize,
+                             mem::kPageSize, Advice::kDontNeed),
+              0);
+
+  // Rows start 100 bytes into a page, so their first and last pages are
+  // partial; each row's hole is a whole interior page refaulted on node 1.
+  ThreadCtx t1 = ctx_on(4);
+  const std::uint64_t row_bytes = row_pages * mem::kPageSize - 200;
+  std::vector<std::uint64_t> by_node;
+  const AccessResult res =
+      k_.access_strided(t1, a + 100, rows, row_bytes, stride, vm::Prot::kRead,
+                        0.0, 1.0, &by_node);
+  EXPECT_EQ(res.pages, rows * row_pages);
+  EXPECT_EQ(res.minor_faults, rows);
+  ASSERT_EQ(by_node.size(), topo_.num_nodes());
+  EXPECT_EQ(by_node[1], rows * mem::kPageSize);
+  EXPECT_EQ(by_node[0], rows * (row_bytes - mem::kPageSize));
+  for (std::uint64_t r = 0; r < rows; ++r)
+    EXPECT_EQ(k_.page_node(pid_, a + r * stride + 700 * mem::kPageSize), 1u);
+  EXPECT_NO_THROW(k_.validate(t1));
+}
+
+TEST_F(KernelTest, StridedReadServesReplicasInsideARow) {
+  k_.set_replication_enabled(true);
+  ThreadCtx t0 = ctx_on(0);
+  const std::uint64_t len = 8 * mem::kPageSize;
+  const vm::Vaddr a = k_.sys_mmap(t0, len, vm::Prot::kReadWrite);
+  k_.access(t0, a, len, vm::Prot::kWrite, 3500.0);
+  ASSERT_EQ(k_.sys_madvise(t0, a, len, Advice::kReplicate), 0);
+
+  // Two rows of two pages' bytes starting mid-page: pages 0-2 and 4-6.
+  ThreadCtx t1 = ctx_on(4);
+  t1.clock = sim::seconds(1);
+  const std::uint64_t row_bytes = 2 * mem::kPageSize;
+  std::vector<std::uint64_t> by_node;
+  for (int pass = 0; pass < 2; ++pass) {
+    const AccessResult r =
+        k_.access_strided(t1, a + 512, 2, row_bytes, 4 * mem::kPageSize,
+                          vm::Prot::kRead, 0.0, 1.0, &by_node);
+    EXPECT_EQ(r.pages, 6u);
+    // Every byte is served from node 1's replicas, made on the first pass.
+    EXPECT_EQ(by_node[1], 2 * row_bytes);
+    EXPECT_EQ(by_node[0], 0u);
+    EXPECT_EQ(k_.replica_pages(pid_), 6u);
+  }
+  EXPECT_EQ(k_.pages_on_node(pid_, a, len, 0), 8u);  // homes stay put
+  EXPECT_NO_THROW(k_.validate(t1));
+}
+
+TEST_F(KernelTest, ValidateThreadRejectsForeignNumabCache) {
+  ThreadCtx bare = ctx_on(0);
+  EXPECT_NO_THROW(k_.validate(bare));  // no cache yet
+  NumabTaskStats stray;
+  bare.numab_ts = &stray;
+  EXPECT_THROW(k_.validate(bare), std::logic_error);
+
+  // A hint fault fills the cache with the thread's own table entry.
+  KernelConfig cfg{.topology = topo_, .backing = mem::Backing::kPhantom};
+  cfg.numa_balancing.enabled = true;
+  cfg.numa_balancing.scan_period = sim::microseconds(100);
+  cfg.numa_balancing.scan_size_pages = 1024;
+  Kernel k(cfg);
+  ThreadCtx t;
+  t.pid = k.create_process();
+  t.tid = 7;
+  const std::uint64_t len = 8 * mem::kPageSize;
+  const vm::Vaddr a = k.sys_mmap(t, len, vm::Prot::kReadWrite);
+  k.access(t, a, len, vm::Prot::kWrite, 0.0);
+  t.clock += cfg.numa_balancing.scan_period;
+  k.access(t, a, len, vm::Prot::kRead, 0.0);
+  ASSERT_GT(k.stats().numab_hint_faults, 0u);
+  ASSERT_NE(t.numab_ts, nullptr);
+  EXPECT_NO_THROW(k.validate(t));
+  // Another thread holding tid 7's entry is corrupt.
+  ThreadCtx other = t;
+  other.tid = 8;
+  EXPECT_THROW(k.validate(other), std::logic_error);
 }
 
 }  // namespace
