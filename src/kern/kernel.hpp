@@ -531,8 +531,7 @@ class Kernel {
   /// (SegfaultError after kMaxFaultRetries), dirties and stamps it on a
   /// write, resolves replicas on a read, and reports each page's serving
   /// node and touched bytes to `on_page(node, bytes)`. `before_fault()` runs
-  /// ahead of every fault. PTEs are walked by pointer within each page-table
-  /// chunk, so the table is searched once per chunk or fault, not per page.
+  /// ahead of every fault.
   template <typename PageFn, typename FaultFn>
   void walk_extent(ThreadCtx& t, Process& p, vm::Vaddr addr, vm::Vaddr end,
                    vm::Prot want, topo::NodeId core_node, AccessResult& res,
