@@ -467,6 +467,129 @@ TEST(FaultInjectionDeterminism, EmptyPlanMatchesNoInjectorExactly) {
   EXPECT_EQ(run(false), run(true));
 }
 
+// --- lockstep digest ----------------------------------------------------------
+
+struct DigestRun {
+  sim::Time clock_a = 0;
+  sim::Time clock_b = 0;
+  std::uint64_t log_fnv = 0;
+  KernelStats stats{};
+};
+
+/// FNV-1a over the event log's CSV rendering.
+std::uint64_t fnv1a(std::string_view s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// A fixed two-thread program through every migration syscall under a plan
+/// with alloc failures, transient and permanent copy failures and dropped
+/// shootdowns: move_pages, mbind(MPOL_MF_MOVE), the ranged call,
+/// migrate_pages, kernel next-touch, async ranged + drain, and the mprotect
+/// and munmap lock holds.
+DigestRun run_digest_program(LockModel lock, MigrationMode mode) {
+  Kernel k(KernelConfig{
+      .topology = topo::Topology::quad_opteron(),
+      .backing = mem::Backing::kPhantom,
+      .lock_model = lock,
+      .migration_mode = mode,
+      .max_frames_per_node = 512,
+      .fault_plan = FaultPlan::parse(
+          "alloc:p=0.08; alloc:nth=3,node=2; copy:pt=0.2,pp=0.05; shootdown:p=0.25"),
+      .fault_seed = 0x5eed});
+  const Pid pid = k.create_process("digest");
+  EventLog log(1u << 16);
+  k.set_event_log(&log);
+  ThreadCtx a;
+  a.pid = pid;
+  a.tid = 0;
+  a.core = 0;
+  ThreadCtx b;
+  b.pid = pid;
+  b.tid = 1;
+  b.core = 5;
+
+  constexpr std::uint64_t kPages = 96;
+  const std::uint64_t len = kPages * mem::kPageSize;
+  const vm::Vaddr ra = k.sys_mmap(a, len, vm::Prot::kReadWrite,
+                                  vm::MemPolicy::bind(topo::node_mask_of(0)));
+  const vm::Vaddr rb = k.sys_mmap(b, len, vm::Prot::kReadWrite,
+                                  vm::MemPolicy::bind(topo::node_mask_of(1)));
+  k.access(a, ra, len, vm::Prot::kWrite, 3500.0);
+  k.access(b, rb, len, vm::Prot::kWrite, 3500.0);
+
+  auto move_all = [&](ThreadCtx& t, vm::Vaddr base, topo::NodeId dest) {
+    std::vector<vm::Vaddr> pages;
+    for (std::uint64_t i = 0; i < kPages; ++i)
+      pages.push_back(base + i * mem::kPageSize);
+    std::vector<topo::NodeId> nodes(pages.size(), dest);
+    std::vector<int> status(pages.size(), 0);
+    k.sys_move_pages(t, pages, nodes, status);
+  };
+  move_all(a, ra, 2);
+  move_all(b, rb, 3);
+  k.sys_mbind(a, ra, len, vm::MemPolicy::bind(topo::node_mask_of(1)),
+              /*move_existing=*/true);
+  k.sys_mprotect(b, rb, len, vm::Prot::kRead);
+  k.sys_mprotect(b, rb, len, vm::Prot::kReadWrite);
+  const Kernel::MoveRange rng_b{rb, len, 0};
+  k.sys_move_pages_ranged(b, std::span{&rng_b, 1});
+  k.sys_migrate_pages(a, pid, topo::node_mask_of(0) | topo::node_mask_of(1),
+                      topo::node_mask_of(3));
+  k.sys_madvise(b, ra, len, Advice::kMigrateOnNextTouch);
+  k.access(b, ra, len, vm::Prot::kRead, 3500.0);
+  const Kernel::MoveRange async_a{ra, len, 2};
+  k.sys_move_pages_async(a, std::span{&async_a, 1});
+  k.kmigrated_drain(a);
+  k.sys_munmap(b, rb, len);
+  k.validate(pid);
+  return {a.clock, b.clock, fnv1a(log.to_csv()), k.stats()};
+}
+
+TEST(FaultInjectionDeterminism, LockstepDigestAcrossLockAndMigrationModes) {
+  // Final clocks and event-log hashes pinned per (lock model, migration
+  // mode): any change to the order of fault-injector draws, the charged
+  // costs or the emitted events of the migration paths moves them.
+  struct Pinned {
+    LockModel lock;
+    MigrationMode mode;
+    DigestRun want;
+  };
+  const Pinned pinned[] = {
+      {LockModel::kCoarse, MigrationMode::kStopAndCopy,
+       {5164392, 4846846, 0x3d461bf4c4416c6bull}},
+      {LockModel::kCoarse, MigrationMode::kTransactional,
+       {6413259, 5645613, 0x40e6f3da01730024ull}},
+      {LockModel::kRange, MigrationMode::kStopAndCopy,
+       {4966524, 4652434, 0x85465783702f71f5ull}},
+      {LockModel::kRange, MigrationMode::kTransactional,
+       {6313164, 5548832, 0xf51b1d2663f2f694ull}},
+  };
+  for (const Pinned& p : pinned) {
+    const DigestRun got = run_digest_program(p.lock, p.mode);
+    SCOPED_TRACE(testing::Message()
+                 << "lock=" << static_cast<int>(p.lock)
+                 << " mode=" << migration_mode_name(p.mode) << " got {"
+                 << got.clock_a << ", " << got.clock_b << ", 0x" << std::hex
+                 << got.log_fnv << "ull}");
+    EXPECT_EQ(got.clock_a, p.want.clock_a);
+    EXPECT_EQ(got.clock_b, p.want.clock_b);
+    EXPECT_EQ(got.log_fnv, p.want.log_fnv);
+    // Every injected failure kind fired, and every path migrated something.
+    EXPECT_GT(got.stats.migrations_failed, 0u);
+    EXPECT_GT(got.stats.migration_retries, 0u);
+    EXPECT_GT(got.stats.shootdown_retries, 0u);
+    EXPECT_GT(got.stats.pages_migrated_move, 0u);
+    EXPECT_GT(got.stats.pages_migrated_process, 0u);
+    EXPECT_GT(got.stats.pages_migrated_nexttouch, 0u);
+    EXPECT_GT(got.stats.kmigrated_pages, 0u);
+  }
+}
+
 // --- kmigrated (async migration daemons) under faults ------------------------
 
 TEST_F(FaultInjectionTest, KmigratedDroppedBatchLeavesPagesResident) {
