@@ -320,9 +320,13 @@ inline void expect_on_node(rt::Thread& th, vm::Vaddr addr, std::uint64_t len,
 /// machine-wide options (lock model, migration mode, tier spec/demotion).
 /// A `--tier-spec` override replaces `t`; tier promotion/demotion is enabled
 /// exactly when the resulting topology is tiered, so flat runs are
-/// bit-identical with and without the tier code.
-inline kern::KernelConfig phantom_kernel_config(const topo::Topology& t) {
+/// bit-identical with and without the tier code. `move_pages_impl` picks the
+/// patched or unpatched move_pages (Fig. 4/5).
+inline kern::KernelConfig phantom_kernel_config(
+    const topo::Topology& t,
+    kern::MovePagesImpl move_pages_impl = kern::MovePagesImpl::kLinear) {
   kern::KernelConfig cfg;
+  cfg.move_pages_impl = move_pages_impl;
   const Options& o = current_options();
   cfg.topology = o.tier_spec.empty() ? t : topo::Topology::from_spec(o.tier_spec);
   cfg.backing = mem::Backing::kPhantom;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "lib/numalib.hpp"
 #include "sim/rng.hpp"
 
 namespace numasim::apps {
@@ -26,8 +25,9 @@ Spmv::Spmv(rt::Machine& m, rt::Team& team, SpmvConfig cfg)
     throw std::invalid_argument{"Spmv: empty matrix"};
   if (cfg_.numeric && m.kernel().phys().backing() != mem::Backing::kMaterialized)
     throw std::invalid_argument{"Spmv: numeric mode needs materialized memory"};
-  if (cfg_.policy == SpmvConfig::Policy::kNextTouchReplX)
-    m.kernel().set_replication_enabled(true);
+  if (cfg_.policy == SpmvConfig::Policy::kNextTouchReplX &&
+      !m.kernel().config().replication)
+    throw std::invalid_argument{"Spmv: kNextTouchReplX needs a replication kernel"};
   generate_structure();
 }
 
@@ -76,10 +76,11 @@ sim::Task<void> Spmv::run(rt::Thread& main) {
   csr_.colidx = k.sys_mmap(main.ctx(), csr_.nnz * 8, vm::Prot::kReadWrite, all, "col");
   csr_.x = k.sys_mmap(main.ctx(), cfg_.n * kElem, vm::Prot::kReadWrite, all, "x");
   csr_.y = k.sys_mmap(main.ctx(), cfg_.n * kElem, vm::Prot::kReadWrite, all, "y");
-  lib::populate(main.ctx(), k, csr_.values, csr_.nnz * kElem);
-  lib::populate(main.ctx(), k, csr_.colidx, csr_.nnz * 8);
-  lib::populate(main.ctx(), k, csr_.x, cfg_.n * kElem);
-  lib::populate(main.ctx(), k, csr_.y, cfg_.n * kElem);
+  const double zero_rate = k.cost().zero_rate_bytes_per_us;
+  k.access(main.ctx(), csr_.values, csr_.nnz * kElem, vm::Prot::kReadWrite, zero_rate);
+  k.access(main.ctx(), csr_.colidx, csr_.nnz * 8, vm::Prot::kReadWrite, zero_rate);
+  k.access(main.ctx(), csr_.x, cfg_.n * kElem, vm::Prot::kReadWrite, zero_rate);
+  k.access(main.ctx(), csr_.y, cfg_.n * kElem, vm::Prot::kReadWrite, zero_rate);
   co_await main.sync();
 
   if (cfg_.numeric) {

@@ -236,14 +236,6 @@ class Kernel {
   LockModel lock_model() const { return cfg_.lock_model; }
   MigrationMode migration_mode() const { return cfg_.migration_mode; }
 
-  /// Selects which move_pages implementation sys_move_pages uses.
-  void set_move_pages_impl(MovePagesImpl impl) { move_impl_ = impl; }
-  MovePagesImpl move_pages_impl() const { return move_impl_; }
-
-  /// Extension toggle: replicate read-only pages on remote read faults.
-  void set_replication_enabled(bool on) { replication_ = on; }
-  bool replication_enabled() const { return replication_; }
-
   // --- observability ----------------------------------------------------------
   /// Subscribe a tracepoint sink: every kernel tracepoint (instant events
   /// and duration spans) fans out to each attached sink, stamped with the
@@ -476,7 +468,6 @@ class Kernel {
     vm::MemPolicy task_policy;  // set_mempolicy default for new VMAs
     SegvHandler segv;
     OwnedTimeline mmap_lock;
-    OwnedTimeline pt_lock;
     sim::Timeline migration_pipeline;
     // LockModel::kRange state: the whole-space rwsem (shared by migration
     // paths, exclusive for mmap surgery) and the per-VMA range locks, keyed
@@ -578,6 +569,12 @@ class Kernel {
   /// __GFP_THISNODE semantics, honoring the min watermark, consulting the
   /// injector. kInvalidFrame = the caller must degrade (per-page ENOMEM).
   mem::FrameId alloc_migration_frame(topo::NodeId node);
+  /// alloc_migration_frame() for a thread-context migration: when `node` is
+  /// full and tiering's direct demotion is on, demote pages of `node`
+  /// down-tier (work and stall charged as `kind`) and retry once.
+  mem::FrameId alloc_migration_frame_or_demote(ThreadCtx& t, Process& p,
+                                               topo::NodeId node,
+                                               sim::CostKind kind);
 
   /// Allocation backing a user fault: preferred-node with zonelist fallback;
   /// injected pressure charges a reclaim stall, and the reserve pool is the
@@ -631,6 +628,29 @@ class Kernel {
                                 sim::Time control_cost, sim::CostKind control_kind,
                                 sim::CostKind copy_kind, CopyBatch* copies);
 
+  /// One page of a stop-and-copy batch: the caller fills vpn..slot,
+  /// migrate_batch() fills `result` (the rest is its scratch state).
+  struct BatchMove {
+    vm::Vpn vpn = 0;
+    vm::Pte* pte = nullptr;  // chunk-stable for the table's life
+    topo::NodeId from = topo::kInvalidNode;
+    topo::NodeId to = topo::kInvalidNode;
+    std::size_t slot = 0;  ///< caller's index for the page; not read here
+    MigrateResult result = MigrateResult::kOk;
+    mem::FrameId nf = mem::kInvalidFrame;
+    unsigned copy_retries = 0;
+    bool copy_ok = true;
+  };
+
+  /// The stop-and-copy batch shared by move_pages and migrate_pages (Linux's
+  /// migrate_pages() core): per page, in order, allocate the destination
+  /// frame (with direct demotion) and draw its copy outcome; then one
+  /// coalesced copy per same-route run, charged as `copy_kind`; then per
+  /// page the retry backoff (`control_kind`) and rollback or remap. Leaves
+  /// serialization and per-caller accounting to the caller.
+  void migrate_batch(ThreadCtx& t, Process& p, std::span<BatchMove> batch,
+                     sim::CostKind control_kind, sim::CostKind copy_kind);
+
   /// Terminal outcome of one transactional migration attempt. kDegraded
   /// means the shadow frame was released and the page is untouched: the
   /// caller must stop-and-copy it, or defer it (numab promotion).
@@ -650,16 +670,24 @@ class Kernel {
            !(pte.flags & (vm::Pte::kReplica | vm::Pte::kHuge));
   }
 
-  /// Serialized per-page share of a migration batch under the current
-  /// migration mode: transactional batches only contend on their commit
-  /// flips (copies run outside the critical section), so the stop-and-copy
-  /// constants are replaced by the far smaller txn commit shares.
-  sim::Time migrate_serial_per_page(sim::Time stop_and_copy_share) const {
-    if (cfg_.migration_mode != MigrationMode::kTransactional)
-      return stop_and_copy_share;
-    return cfg_.lock_model == LockModel::kRange
-               ? cost_.txn_range_commit_serial_per_page
-               : cost_.txn_commit_serial_per_page;
+  /// Serialized per-page share of one migration path, per lock model.
+  struct SerialShare {
+    sim::Time coarse = 0;
+    sim::Time range = 0;
+  };
+
+  /// `stop_and_copy` under the current migration mode: transactional batches
+  /// only contend on their commit flips (copies run outside the critical
+  /// section), so the far smaller txn commit shares replace it.
+  SerialShare migrate_serial_share(SerialShare stop_and_copy) const {
+    if (cfg_.migration_mode != MigrationMode::kTransactional) return stop_and_copy;
+    return {cost_.txn_commit_serial_per_page, cost_.txn_range_commit_serial_per_page};
+  }
+  /// The share of the move_pages family: move_pages, the ranged call and
+  /// mbind(MPOL_MF_MOVE).
+  SerialShare move_pages_serial_share() const {
+    return migrate_serial_share(
+        {cost_.move_pages_serial_per_page, cost_.range_serial_per_page});
   }
 
   // Un-instrumented syscall bodies; the public entry points wrap them in a
@@ -677,35 +705,25 @@ class Kernel {
   SyscallResult do_migrate_pages(ThreadCtx& t, Pid target, topo::NodeMask from,
                                  topo::NodeMask to);
 
-  /// Serialize a batch of `pages` migrations on the process migration
-  /// pipeline (the cross-thread critical sections): reserves
-  /// pages*per_page starting at `entry` and extends the thread clock to the
-  /// grant's end if the pipeline is backed up. A single migrating thread is
-  /// never extended.
-  void serialize_migration(ThreadCtx& t, Process& p, sim::Time entry,
-                           std::uint64_t pages, sim::Time per_page) {
+  /// Serialize a batch of `pages` migrations over [lo, hi) that began at
+  /// `entry` (the cross-thread critical sections), extending the thread
+  /// clock to the grant's end if it is backed up; a single migrating thread
+  /// is never extended. kCoarse reserves pages * per_page.coarse on the
+  /// process migration pipeline. kRange holds the range locks covering
+  /// [lo, hi) for pages * per_page.range plus ONE coalesced TLB-shootdown
+  /// round (instead of the per-page shootdowns baked into the coarse
+  /// constants), so disjoint ranges never queue on each other.
+  void serialize_migration(ThreadCtx& t, Process& p, vm::Vaddr lo, vm::Vaddr hi,
+                           sim::Time entry, std::uint64_t pages,
+                           SerialShare per_page) {
     // Inline zero-page early-out: most accesses migrate nothing, and this
     // runs once per access/syscall on the hot path.
     if (pages == 0) return;
-    do_serialize_migration(t, p, entry, pages, per_page);
+    do_serialize_migration(t, p, lo, hi, entry, pages, per_page);
   }
-  void do_serialize_migration(ThreadCtx& t, Process& p, sim::Time entry,
-                              std::uint64_t pages, sim::Time per_page);
-
-  /// kRange replacement for serialize_migration: reserves an exclusive hold
-  /// on the range locks covering [lo, hi) from `entry` for the pages'
-  /// serialized work plus ONE coalesced TLB-shootdown round (instead of the
-  /// per-page shootdowns baked into the coarse constants). Disjoint ranges
-  /// never queue on each other; overlapping ones pay a lock bounce.
-  void serialize_migration_ranged(ThreadCtx& t, Process& p, vm::Vaddr lo,
-                                  vm::Vaddr hi, sim::Time entry,
-                                  std::uint64_t pages, sim::Time per_page) {
-    if (pages == 0) return;
-    do_serialize_migration_ranged(t, p, lo, hi, entry, pages, per_page);
-  }
-  void do_serialize_migration_ranged(ThreadCtx& t, Process& p, vm::Vaddr lo,
-                                     vm::Vaddr hi, sim::Time entry,
-                                     std::uint64_t pages, sim::Time per_page);
+  void do_serialize_migration(ThreadCtx& t, Process& p, vm::Vaddr lo, vm::Vaddr hi,
+                              sim::Time entry, std::uint64_t pages,
+                              SerialShare per_page);
 
   /// Reserve the range locks of every VMA overlapping [lo, hi) for `hold`
   /// starting no earlier than `start`. Returns the combined slot (start =
@@ -781,9 +799,16 @@ class Kernel {
     if (h_lock_wait_ != nullptr && wait > 0) h_lock_wait_->record(wait);
   }
 
-  /// Reserve the process page-table lock; charges wait as kLockWait and the
-  /// hold as `kind`.
-  void with_pt_lock(ThreadCtx& t, Process& p, sim::Time hold, sim::CostKind kind);
+  /// Wait for `slot`'s grant (charged as kLockWait), then run its hold
+  /// (charged as `kind`); the thread clock ends at slot.finish.
+  void wait_then_hold(ThreadCtx& t, const sim::Slot& slot, sim::CostKind kind) {
+    if (slot.start > t.clock) {
+      t.stats.add(sim::CostKind::kLockWait, slot.start - t.clock);
+      note_lock_wait(slot.start - t.clock);
+    }
+    t.stats.add(kind, slot.finish - slot.start);
+    t.clock = slot.finish;
+  }
 
   KernelConfig cfg_;  // owns the topology; declared first so hw_/phys_ may
                       // reference into it
@@ -792,8 +817,6 @@ class Kernel {
   HwState hw_;
   mem::PhysMem phys_;
   Kmigrated kmigrated_;
-  MovePagesImpl move_impl_ = MovePagesImpl::kLinear;
-  bool replication_ = false;
   EventLog* elog_ = nullptr;
   std::vector<obs::TraceSink*> sinks_;
   obs::Registry* metrics_ = nullptr;

@@ -18,9 +18,7 @@ Kernel::Kernel(KernelConfig cfg)
     : cfg_(std::move(cfg)),
       hw_(cfg_.topology),
       phys_(cfg_.topology, cfg_.backing, cfg_.max_frames_per_node),
-      kmigrated_(cfg_.topology.num_nodes()),
-      move_impl_(cfg_.move_pages_impl),
-      replication_(cfg_.replication) {
+      kmigrated_(cfg_.topology.num_nodes()) {
   if (!cfg_.fault_plan.empty()) {
     owned_injector_ = std::make_unique<FaultInjector>(cfg_.fault_plan,
                                                       cfg_.fault_seed);
@@ -246,6 +244,22 @@ mem::FrameId Kernel::alloc_migration_frame(topo::NodeId node) {
   return phys_.alloc_on(node);
 }
 
+mem::FrameId Kernel::alloc_migration_frame_or_demote(ThreadCtx& t, Process& p,
+                                                     topo::NodeId node,
+                                                     sim::CostKind kind) {
+  mem::FrameId f = alloc_migration_frame(node);
+  // Direct demotion (tiering): push cold — or, failing that, any eligible —
+  // pages of `node` down-tier to make room, then retry once. The chain is
+  // monotonic down the tier order, so it terminates at the slowest tier.
+  if (f == mem::kInvalidFrame && cfg_.tiers.enabled && cfg_.tiers.demotion &&
+      tier_demote(t, p, node, cfg_.tiers.demote_batch_pages,
+                  /*require_idle=*/false, kind) > 0) {
+    charge(t, cost_.demote_direct_stall, kind);
+    f = alloc_migration_frame(node);
+  }
+  return f;
+}
+
 mem::FrameId Kernel::alloc_user_frame(ThreadCtx& t, vm::Vpn vpn,
                                       topo::NodeId target) {
   if (injector_ != nullptr && injector_->fail_alloc(target)) {
@@ -276,16 +290,6 @@ sim::Time Kernel::shootdown_cost(const ThreadCtx& t) {
 
 void Kernel::set_task_policy(Pid pid, const vm::MemPolicy& pol) {
   proc(pid).task_policy = pol;
-}
-
-void Kernel::with_pt_lock(ThreadCtx& t, Process& p, sim::Time hold,
-                          sim::CostKind kind) {
-  const sim::Slot slot = p.pt_lock.reserve(t.clock, hold, t.core, cost_.lock_bounce);
-  const sim::Time wait = slot.start - t.clock;
-  if (wait > 0) t.stats.add(sim::CostKind::kLockWait, wait);
-  note_lock_wait(wait);
-  t.stats.add(kind, slot.finish - slot.start);
-  t.clock = slot.finish;
 }
 
 void Kernel::populate_page(ThreadCtx& t, Process& p, const vm::Vma& vma,
@@ -319,9 +323,17 @@ void Kernel::populate_page(ThreadCtx& t, Process& p, const vm::Vma& vma,
   trace(t, EventType::kMinorFault, vpn, 1, topo::kInvalidNode, phys_.node_of(frame));
 }
 
-void Kernel::do_serialize_migration(ThreadCtx& t, Process& p, sim::Time entry,
-                                    std::uint64_t pages, sim::Time per_page) {
-  const sim::Slot slot = p.migration_pipeline.reserve(entry, pages * per_page);
+void Kernel::do_serialize_migration(ThreadCtx& t, Process& p, vm::Vaddr lo,
+                                    vm::Vaddr hi, sim::Time entry,
+                                    std::uint64_t pages, SerialShare per_page) {
+  // kRange: the run's serialized work plus one coalesced shootdown round,
+  // held on the range locks only — disjoint runs never see each other.
+  const sim::Slot slot =
+      cfg_.lock_model == LockModel::kRange
+          ? range_lock_reserve(t, p, lo, hi, entry,
+                               pages * per_page.range + shootdown_round(pages),
+                               /*exclusive=*/true)
+          : p.migration_pipeline.reserve(entry, pages * per_page.coarse);
   if (slot.finish > t.clock) {
     t.stats.add(sim::CostKind::kLockWait, slot.finish - t.clock);
     note_lock_wait(slot.finish - t.clock);
@@ -366,22 +378,6 @@ sim::Time Kernel::shootdown_round(std::uint64_t pages) {
   ++kstats_.tlb_shootdowns;
   if (h_shootdown_rounds_ != nullptr) h_shootdown_rounds_->record(rounds);
   return c;
-}
-
-void Kernel::do_serialize_migration_ranged(ThreadCtx& t, Process& p,
-                                           vm::Vaddr lo, vm::Vaddr hi,
-                                           sim::Time entry, std::uint64_t pages,
-                                           sim::Time per_page) {
-  // The run's serialized work plus one coalesced shootdown round, held on
-  // the range locks only — disjoint runs never see each other.
-  const sim::Time hold = pages * per_page + shootdown_round(pages);
-  const sim::Slot slot =
-      range_lock_reserve(t, p, lo, hi, entry, hold, /*exclusive=*/true);
-  if (slot.finish > t.clock) {
-    t.stats.add(sim::CostKind::kLockWait, slot.finish - t.clock);
-    note_lock_wait(slot.finish - t.clock);
-    t.clock = slot.finish;
-  }
 }
 
 void Kernel::flush_copy_batch(ThreadCtx& t, CopyBatch& batch, sim::CostKind kind) {
@@ -453,18 +449,8 @@ Kernel::MigrateResult Kernel::do_migrate_page(ThreadCtx& t, Process& p,
   const topo::NodeId from = phys_.node_of(old_frame);
 
   // Isolate→alloc: the destination frame must come from the target node.
-  mem::FrameId new_frame = alloc_migration_frame(target);
-  if (new_frame == mem::kInvalidFrame && cfg_.tiers.enabled &&
-      cfg_.tiers.demotion) {
-    // Direct demotion (tiering): push cold — or, failing that, any eligible —
-    // pages of `target` down-tier to make room, then retry once. The chain is
-    // monotonic down the tier order, so it terminates at the slowest tier.
-    if (tier_demote(t, p, target, cfg_.tiers.demote_batch_pages,
-                    /*require_idle=*/false, control_kind) > 0) {
-      charge(t, cost_.demote_direct_stall, control_kind);
-      new_frame = alloc_migration_frame(target);
-    }
-  }
+  const mem::FrameId new_frame =
+      alloc_migration_frame_or_demote(t, p, target, control_kind);
   if (new_frame == mem::kInvalidFrame) {
     ++kstats_.migrations_failed;
     trace(t, EventType::kMigrateFail, vpn, 1, from, target);
@@ -515,6 +501,72 @@ Kernel::MigrateResult Kernel::do_migrate_page(ThreadCtx& t, Process& p,
   pte.frame = new_frame;
   p.placement.move(vpn, from, phys_.node_of(new_frame));
   return MigrateResult::kOk;
+}
+
+void Kernel::migrate_batch(ThreadCtx& t, Process& p, std::span<BatchMove> batch,
+                           sim::CostKind control_kind, sim::CostKind copy_kind) {
+  // Isolate→alloc: destination frames come strictly from the requested node
+  // (as Linux's new_page_node with __GFP_THISNODE). A failed allocation
+  // degrades this page to ENOMEM *before* any copy bandwidth is spent; the
+  // already-isolated page simply stays mapped on its source node.
+  for (BatchMove& m : batch) {
+    m.nf = alloc_migration_frame_or_demote(t, p, m.to, control_kind);
+    if (m.nf == mem::kInvalidFrame) {
+      m.result = MigrateResult::kNoMem;
+      ++kstats_.migrations_failed;
+      trace(t, EventType::kMigrateFail, m.vpn, 1, m.from, m.to);
+    } else {
+      const CopyOutcome oc = copy_outcome();
+      m.copy_retries = oc.retries;
+      m.copy_ok = oc.ok;
+    }
+  }
+
+  // Copies happen outside the lock; coalesce same-route neighbours so the
+  // hardware model sees streams, not 4 KiB droplets. Retried attempts
+  // consumed the engine too, so each page contributes (retries+1) copies.
+  for (std::size_t i = 0, j = 0; i < batch.size(); i = j) {
+    std::uint64_t bytes = 0;
+    for (; j < batch.size() && batch[j].from == batch[i].from &&
+           batch[j].to == batch[i].to;
+         ++j) {
+      if (batch[j].nf != mem::kInvalidFrame)
+        bytes += (batch[j].copy_retries + 1ull) * mem::kPageSize;
+    }
+    if (bytes != 0) {
+      const sim::Slot c = hw_.copy(t.clock, batch[i].from, batch[i].to, bytes,
+                                   cost_.kernel_copy_bytes_per_us);
+      t.stats.add(copy_kind, c.finish - t.clock);
+      t.clock = c.finish;
+    }
+  }
+
+  for (BatchMove& m : batch) {
+    if (m.nf == mem::kInvalidFrame) continue;  // degraded to ENOMEM above
+    for (unsigned r = 0; r < m.copy_retries; ++r) {
+      charge(t, cost_.copy_backoff(r), control_kind);
+      ++kstats_.migration_retries;
+      trace(t, EventType::kMigrateRetry, m.vpn, 1, m.from, m.to);
+    }
+    if (!m.copy_ok) {
+      // Permanent copy failure: roll back — free the destination frame and
+      // leave the original mapping untouched (Linux: -EAGAIN after the
+      // migrate_pages retry loop gives up).
+      phys_.free(m.nf);
+      m.result = MigrateResult::kCopyFail;
+      ++kstats_.migrations_failed;
+      trace(t, EventType::kMigrateFail, m.vpn, 1, m.from, m.to);
+      continue;
+    }
+    if (std::byte* dst = phys_.data(m.nf)) {
+      if (const std::byte* src = phys_.data(m.pte->frame))
+        std::memcpy(dst, src, mem::kPageSize);
+    }
+    const topo::NodeId pfrom = phys_.node_of(m.pte->frame);
+    phys_.free(m.pte->frame);
+    m.pte->frame = m.nf;
+    p.placement.move(m.vpn, pfrom, phys_.node_of(m.nf));
+  }
 }
 
 void Kernel::populate_huge_block(ThreadCtx& t, Process& p, const vm::Vma& vma,
@@ -825,13 +877,9 @@ AccessResult Kernel::access(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len,
       flush_run);
   flush_run();
   flush_copy_batch(t, copies, sim::CostKind::kNextTouchCopy);
-  if (cfg_.lock_model == LockModel::kRange) {
-    serialize_migration_ranged(t, p, addr, end, entry, res.nexttouch_migrations,
-                               migrate_serial_per_page(cost_.nt_range_serial_per_page));
-  } else {
-    serialize_migration(t, p, entry, res.nexttouch_migrations,
-                        migrate_serial_per_page(cost_.nt_serial_per_page));
-  }
+  serialize_migration(t, p, addr, end, entry, res.nexttouch_migrations,
+                      migrate_serial_share({cost_.nt_serial_per_page,
+                                            cost_.nt_range_serial_per_page}));
   if (!p.numab.pending.empty()) numab_flush_promotions(t, p);
   return res;
 }
@@ -885,15 +933,10 @@ AccessResult Kernel::access_strided(ThreadCtx& t, vm::Vaddr base,
     }
   }
   flush_copy_batch(t, copies, sim::CostKind::kNextTouchCopy);
-  if (cfg_.lock_model == LockModel::kRange) {
-    serialize_migration_ranged(t, p, base,
-                               base + (rows - 1) * stride_bytes + row_bytes,
-                               entry, res.nexttouch_migrations,
-                               migrate_serial_per_page(cost_.nt_range_serial_per_page));
-  } else {
-    serialize_migration(t, p, entry, res.nexttouch_migrations,
-                        migrate_serial_per_page(cost_.nt_serial_per_page));
-  }
+  serialize_migration(t, p, base, base + (rows - 1) * stride_bytes + row_bytes,
+                      entry, res.nexttouch_migrations,
+                      migrate_serial_share({cost_.nt_serial_per_page,
+                                            cost_.nt_range_serial_per_page}));
   if (!p.numab.pending.empty()) numab_flush_promotions(t, p);
   return res;
 }

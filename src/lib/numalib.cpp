@@ -50,7 +50,20 @@ kern::SyscallResult NumaBuffer::lazy_migrate(kern::ThreadCtx& t) {
 
 kern::SyscallResult NumaBuffer::sync_migrate(kern::ThreadCtx& t,
                                              topo::NodeId node) {
-  return lib::sync_migrate(t, *kernel_, addr_, size_, node);
+  if (size_ == 0) return 0;
+  const vm::Vpn first = vm::vpn_of(addr_);
+  const vm::Vpn last = vm::vpn_of(addr_ + size_ - 1) + 1;
+  std::vector<vm::Vaddr> pages;
+  pages.reserve(last - first);
+  for (vm::Vpn vpn = first; vpn < last; ++vpn) pages.push_back(vm::addr_of(vpn));
+  std::vector<topo::NodeId> nodes(pages.size(), node);
+  std::vector<int> status(pages.size(), 0);
+  const kern::SyscallResult r = kernel_->sys_move_pages(t, pages, nodes, status);
+  if (!r.ok()) return r;
+  long ok = 0;
+  for (int s : status)
+    if (s == static_cast<int>(node)) ++ok;
+  return ok;
 }
 
 std::uint64_t NumaBuffer::pages_on(topo::NodeId node) const {
@@ -65,55 +78,6 @@ kern::SyscallResult NumaBuffer::free(kern::ThreadCtx& t) {
   addr_ = 0;
   size_ = 0;
   return r;
-}
-
-vm::Vaddr numa_alloc_onnode(kern::ThreadCtx& t, kern::Kernel& k, std::uint64_t size,
-                            topo::NodeId node, std::string name) {
-  return NumaBuffer::on_node(t, k, size, node, std::move(name)).release();
-}
-
-vm::Vaddr numa_alloc_interleaved(kern::ThreadCtx& t, kern::Kernel& k,
-                                 std::uint64_t size, std::string name) {
-  return NumaBuffer::interleaved(t, k, size, std::move(name)).release();
-}
-
-vm::Vaddr numa_alloc_local(kern::ThreadCtx& t, kern::Kernel& k, std::uint64_t size,
-                           std::string name) {
-  return NumaBuffer::local(t, k, size, std::move(name)).release();
-}
-
-void numa_free(kern::ThreadCtx& t, kern::Kernel& k, vm::Vaddr addr,
-               std::uint64_t size) {
-  k.sys_munmap(t, addr, size);
-}
-
-void populate(kern::ThreadCtx& t, kern::Kernel& k, vm::Vaddr addr,
-              std::uint64_t size) {
-  k.access(t, addr, size, vm::Prot::kReadWrite, k.cost().zero_rate_bytes_per_us);
-}
-
-kern::SyscallResult lazy_migrate(kern::ThreadCtx& t, kern::Kernel& k,
-                                 vm::Vaddr addr, std::uint64_t len) {
-  return k.sys_madvise(t, addr, len, kern::Advice::kMigrateOnNextTouch);
-}
-
-kern::SyscallResult sync_migrate(kern::ThreadCtx& t, kern::Kernel& k,
-                                 vm::Vaddr addr, std::uint64_t len,
-                                 topo::NodeId node) {
-  if (len == 0) return 0;
-  const vm::Vpn first = vm::vpn_of(addr);
-  const vm::Vpn last = vm::vpn_of(addr + len - 1) + 1;
-  std::vector<vm::Vaddr> pages;
-  pages.reserve(last - first);
-  for (vm::Vpn vpn = first; vpn < last; ++vpn) pages.push_back(vm::addr_of(vpn));
-  std::vector<topo::NodeId> nodes(pages.size(), node);
-  std::vector<int> status(pages.size(), 0);
-  const kern::SyscallResult r = k.sys_move_pages(t, pages, nodes, status);
-  if (!r.ok()) return r;
-  long ok = 0;
-  for (int s : status)
-    if (s == static_cast<int>(node)) ++ok;
-  return ok;
 }
 
 vm::MemPolicy tier_preferred(const topo::Topology& topo,

@@ -107,8 +107,15 @@ TEST_F(HugePageTest, NextTouchAndReplicationRefused) {
   const vm::Vaddr a = k_.sys_mmap(t, kHugeSize, vm::Prot::kReadWrite, {}, "h", true);
   k_.access(t, a, 8, vm::Prot::kWrite, 3500.0);
   EXPECT_EQ(k_.sys_madvise(t, a, kHugeSize, Advice::kMigrateOnNextTouch), -kEINVAL);
-  k_.set_replication_enabled(true);
-  EXPECT_EQ(k_.sys_madvise(t, a, kHugeSize, Advice::kReplicate), -kEINVAL);
+  // A replication kernel still refuses to replicate a huge mapping.
+  kern::Kernel repl(kern::KernelConfig{.topology = topo_,
+                                       .backing = mem::Backing::kPhantom,
+                                       .replication = true});
+  ThreadCtx rt;
+  rt.pid = repl.create_process("huge");
+  const vm::Vaddr r = repl.sys_mmap(rt, kHugeSize, vm::Prot::kReadWrite, {}, "h", true);
+  repl.access(rt, r, 8, vm::Prot::kWrite, 3500.0);
+  EXPECT_EQ(repl.sys_madvise(rt, r, kHugeSize, Advice::kReplicate), -kEINVAL);
 }
 
 TEST_F(HugePageTest, MigratePagesSkipsHugePages) {

@@ -163,18 +163,20 @@ TEST_F(KernelTest, MovePagesArgumentValidation) {
 TEST_F(KernelTest, QuadraticImplIsSlowerOnLargeRequests) {
   // Same end state, radically different cost — the Fig. 4 pathology.
   auto run = [&](MovePagesImpl impl) {
-    ThreadCtx t = ctx_on(0);
+    Kernel k(KernelConfig{.topology = topo_,
+                          .backing = mem::Backing::kMaterialized,
+                          .move_pages_impl = impl});
+    ThreadCtx t;
+    t.pid = k.create_process("test");
     const std::uint64_t len = 2048 * mem::kPageSize;
-    const vm::Vaddr a = k_.sys_mmap(t, len, vm::Prot::kReadWrite);
-    k_.access(t, a, len, vm::Prot::kWrite, 3500.0);
-    k_.set_move_pages_impl(impl);
+    const vm::Vaddr a = k.sys_mmap(t, len, vm::Prot::kReadWrite);
+    k.access(t, a, len, vm::Prot::kWrite, 3500.0);
     const auto pages = pages_of(a, len);
     std::vector<topo::NodeId> nodes(pages.size(), 1);
     std::vector<int> status(pages.size(), 0);
     const sim::Time t0 = t.clock;
-    EXPECT_EQ(k_.sys_move_pages(t, pages, nodes, status), 0);
-    k_.set_move_pages_impl(MovePagesImpl::kLinear);
-    EXPECT_EQ(k_.pages_on_node(pid_, a, len, 1), 2048u);
+    EXPECT_EQ(k.sys_move_pages(t, pages, nodes, status), 0);
+    EXPECT_EQ(k.pages_on_node(t.pid, a, len, 1), 2048u);
     return t.clock - t0;
   };
   const sim::Time linear = run(MovePagesImpl::kLinear);
@@ -698,30 +700,34 @@ TEST_F(KernelTest, StridedRowsSpanChunkBoundaryAndFaultMidRow) {
 }
 
 TEST_F(KernelTest, StridedReadServesReplicasInsideARow) {
-  k_.set_replication_enabled(true);
-  ThreadCtx t0 = ctx_on(0);
+  Kernel k(KernelConfig{.topology = topo_,
+                        .backing = mem::Backing::kMaterialized,
+                        .replication = true});
+  ThreadCtx t0;
+  t0.pid = k.create_process("repl");
   const std::uint64_t len = 8 * mem::kPageSize;
-  const vm::Vaddr a = k_.sys_mmap(t0, len, vm::Prot::kReadWrite);
-  k_.access(t0, a, len, vm::Prot::kWrite, 3500.0);
-  ASSERT_EQ(k_.sys_madvise(t0, a, len, Advice::kReplicate), 0);
+  const vm::Vaddr a = k.sys_mmap(t0, len, vm::Prot::kReadWrite);
+  k.access(t0, a, len, vm::Prot::kWrite, 3500.0);
+  ASSERT_EQ(k.sys_madvise(t0, a, len, Advice::kReplicate), 0);
 
   // Two rows of two pages' bytes starting mid-page: pages 0-2 and 4-6.
-  ThreadCtx t1 = ctx_on(4);
+  ThreadCtx t1 = t0;
+  t1.core = 4;
   t1.clock = sim::seconds(1);
   const std::uint64_t row_bytes = 2 * mem::kPageSize;
   std::vector<std::uint64_t> by_node;
   for (int pass = 0; pass < 2; ++pass) {
     const AccessResult r =
-        k_.access_strided(t1, a + 512, 2, row_bytes, 4 * mem::kPageSize,
+        k.access_strided(t1, a + 512, 2, row_bytes, 4 * mem::kPageSize,
                           vm::Prot::kRead, 0.0, 1.0, &by_node);
     EXPECT_EQ(r.pages, 6u);
     // Every byte is served from node 1's replicas, made on the first pass.
     EXPECT_EQ(by_node[1], 2 * row_bytes);
     EXPECT_EQ(by_node[0], 0u);
-    EXPECT_EQ(k_.replica_pages(pid_), 6u);
+    EXPECT_EQ(k.replica_pages(t0.pid), 6u);
   }
-  EXPECT_EQ(k_.pages_on_node(pid_, a, len, 0), 8u);  // homes stay put
-  EXPECT_NO_THROW(k_.validate(t1));
+  EXPECT_EQ(k.pages_on_node(t0.pid, a, len, 0), 8u);  // homes stay put
+  EXPECT_NO_THROW(k.validate(t1));
 }
 
 TEST_F(KernelTest, ValidateThreadRejectsForeignNumabCache) {

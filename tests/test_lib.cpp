@@ -1,5 +1,6 @@
-// Tests for the user-space library: numalib allocators, lazy migration, and
-// the mprotect/SIGSEGV user next-touch (paper Fig. 1).
+// Tests for the user-space library: NumaBuffer allocation, lazy and
+// synchronous migration, and the mprotect/SIGSEGV user next-touch (paper
+// Fig. 1).
 #include <gtest/gtest.h>
 
 #include <utility>
@@ -35,45 +36,46 @@ class LibTest : public ::testing::Test {
 TEST_F(LibTest, AllocOnNodePlacesThere) {
   kern::ThreadCtx t = ctx_on(0);
   const std::uint64_t len = 16 * mem::kPageSize;
-  const vm::Vaddr a = numa_alloc_onnode(t, k_, len, 3, "buf");
-  populate(t, k_, a, len);
-  EXPECT_EQ(k_.pages_on_node(pid_, a, len, 3), 16u);
-  numa_free(t, k_, a, len);
+  NumaBuffer b = NumaBuffer::on_node(t, k_, len, 3, "buf");
+  b.populate(t);
+  EXPECT_EQ(k_.pages_on_node(pid_, b.addr(), len, 3), 16u);
+  EXPECT_EQ(b.free(t), 0);
   EXPECT_EQ(k_.phys().total_used_frames(), 0u);
 }
 
 TEST_F(LibTest, AllocInterleavedSpreads) {
   kern::ThreadCtx t = ctx_on(0);
   const std::uint64_t len = 16 * mem::kPageSize;
-  const vm::Vaddr a = numa_alloc_interleaved(t, k_, len);
-  populate(t, k_, a, len);
+  NumaBuffer b = NumaBuffer::interleaved(t, k_, len);
+  b.populate(t);
   for (topo::NodeId n = 0; n < 4; ++n)
-    EXPECT_EQ(k_.pages_on_node(pid_, a, len, n), 4u);
+    EXPECT_EQ(k_.pages_on_node(pid_, b.addr(), len, n), 4u);
 }
 
 TEST_F(LibTest, AllocLocalFollowsFirstTouch) {
   kern::ThreadCtx t = ctx_on(10);  // node 2
   const std::uint64_t len = 4 * mem::kPageSize;
-  const vm::Vaddr a = numa_alloc_local(t, k_, len);
-  populate(t, k_, a, len);
-  EXPECT_EQ(k_.pages_on_node(pid_, a, len, 2), 4u);
+  NumaBuffer b = NumaBuffer::local(t, k_, len);
+  b.populate(t);
+  EXPECT_EQ(k_.pages_on_node(pid_, b.addr(), len, 2), 4u);
 }
 
 TEST_F(LibTest, SyncMigrateMovesRange) {
   kern::ThreadCtx t = ctx_on(0);
   const std::uint64_t len = 32 * mem::kPageSize;
-  const vm::Vaddr a = numa_alloc_onnode(t, k_, len, 0);
-  populate(t, k_, a, len);
-  EXPECT_EQ(sync_migrate(t, k_, a, len, 2), 32);
-  EXPECT_EQ(k_.pages_on_node(pid_, a, len, 2), 32u);
+  NumaBuffer b = NumaBuffer::on_node(t, k_, len, 0);
+  b.populate(t);
+  EXPECT_EQ(b.sync_migrate(t, 2), 32);
+  EXPECT_EQ(k_.pages_on_node(pid_, b.addr(), len, 2), 32u);
 }
 
 TEST_F(LibTest, LazyMigrateMarksAndFollowsToucher) {
   kern::ThreadCtx t0 = ctx_on(0);
   const std::uint64_t len = 16 * mem::kPageSize;
-  const vm::Vaddr a = numa_alloc_onnode(t0, k_, len, 0);
-  populate(t0, k_, a, len);
-  EXPECT_EQ(lazy_migrate(t0, k_, a, len), 0);
+  NumaBuffer b = NumaBuffer::on_node(t0, k_, len, 0);
+  b.populate(t0);
+  const vm::Vaddr a = b.addr();
+  EXPECT_EQ(b.lazy_migrate(t0), 0);
 
   kern::ThreadCtx t1 = ctx_on(6);  // node 1
   k_.access(t1, a, len, vm::Prot::kRead, 3500.0);
@@ -83,8 +85,9 @@ TEST_F(LibTest, LazyMigrateMarksAndFollowsToucher) {
 TEST_F(LibTest, UserNextTouchWholeRegionOnOneFault) {
   kern::ThreadCtx t0 = ctx_on(0);
   const std::uint64_t len = 64 * mem::kPageSize;
-  const vm::Vaddr a = numa_alloc_onnode(t0, k_, len, 0);
-  populate(t0, k_, a, len);
+  NumaBuffer b = NumaBuffer::on_node(t0, k_, len, 0);
+  b.populate(t0);
+  const vm::Vaddr a = b.addr();
   std::vector<std::byte> payload(len);
   for (std::size_t i = 0; i < len; ++i) payload[i] = static_cast<std::byte>(3 * i);
   ASSERT_TRUE(k_.poke(pid_, a, payload));
@@ -116,8 +119,9 @@ TEST_F(LibTest, UserNextTouchGranuleMigratesWindowOnly) {
   kern::ThreadCtx t0 = ctx_on(0);
   const std::uint64_t len = 64 * mem::kPageSize;
   const std::uint64_t granule = 16 * mem::kPageSize;
-  const vm::Vaddr a = numa_alloc_onnode(t0, k_, len, 0);
-  populate(t0, k_, a, len);
+  NumaBuffer b = NumaBuffer::on_node(t0, k_, len, 0);
+  b.populate(t0);
+  const vm::Vaddr a = b.addr();
 
   UserNextTouch unt(k_, pid_);
   ASSERT_EQ(unt.mark(t0, a, len, granule), 0);
@@ -140,8 +144,9 @@ TEST_F(LibTest, UserNextTouchGranuleMigratesWindowOnly) {
 TEST_F(LibTest, UserNextTouchRejectsOverlapAndBadArgs) {
   kern::ThreadCtx t = ctx_on(0);
   const std::uint64_t len = 8 * mem::kPageSize;
-  const vm::Vaddr a = numa_alloc_onnode(t, k_, len, 0);
-  populate(t, k_, a, len);
+  NumaBuffer b = NumaBuffer::on_node(t, k_, len, 0);
+  b.populate(t);
+  const vm::Vaddr a = b.addr();
   UserNextTouch unt(k_, pid_);
   EXPECT_EQ(unt.mark(t, a, len), 0);
   EXPECT_EQ(unt.mark(t, a + mem::kPageSize, mem::kPageSize), -kern::kEBUSY);
@@ -153,8 +158,9 @@ TEST_F(LibTest, UserNextTouchRejectsOverlapAndBadArgs) {
 TEST_F(LibTest, UserNextTouchCancelRestoresProtection) {
   kern::ThreadCtx t = ctx_on(0);
   const std::uint64_t len = 8 * mem::kPageSize;
-  const vm::Vaddr a = numa_alloc_onnode(t, k_, len, 0);
-  populate(t, k_, a, len);
+  NumaBuffer b = NumaBuffer::on_node(t, k_, len, 0);
+  b.populate(t);
+  const vm::Vaddr a = b.addr();
   UserNextTouch unt(k_, pid_);
   ASSERT_EQ(unt.mark(t, a, len), 0);
   ASSERT_EQ(unt.cancel(t, a, len), 0);
@@ -242,9 +248,9 @@ TEST_F(LibTest, NumaBufferReleaseKeepsMapping) {
     addr = b.release();
     EXPECT_FALSE(static_cast<bool>(b));
   }
-  // Still mapped after the handle died; the legacy free path reclaims it.
+  // Still mapped after the handle died; a plain munmap reclaims it.
   EXPECT_EQ(k_.phys().total_used_frames(), 4u);
-  numa_free(t, k_, addr, len);
+  k_.sys_munmap(t, addr, len);
   EXPECT_EQ(k_.phys().total_used_frames(), 0u);
 }
 
@@ -269,8 +275,9 @@ TEST_P(GranuleProperty, AllGranulesMigrateIndependently) {
   const std::uint64_t granule = granule_pages * mem::kPageSize;
 
   kern::ThreadCtx t0 = ctx_on(0);
-  const vm::Vaddr a = numa_alloc_onnode(t0, k_, len, 0);
-  populate(t0, k_, a, len);
+  NumaBuffer b = NumaBuffer::on_node(t0, k_, len, 0);
+  b.populate(t0);
+  const vm::Vaddr a = b.addr();
   UserNextTouch unt(k_, pid_);
   ASSERT_EQ(unt.mark(t0, a, len, granule), 0);
 

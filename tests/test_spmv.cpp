@@ -14,6 +14,7 @@ SpmvResult run_spmv(SpmvConfig cfg, mem::Backing backing,
                     std::vector<double>* got = nullptr) {
   rt::Machine::Config mc;
   mc.backing = backing;
+  mc.replication = cfg.policy == SpmvConfig::Policy::kNextTouchReplX;
   rt::Machine m(mc);
   rt::Team team = rt::Team::all_cores(m);
   Spmv app(m, team, cfg);
@@ -94,6 +95,10 @@ TEST(Spmv, RejectsBadConfigs) {
   SpmvConfig nc;
   nc.numeric = true;
   EXPECT_THROW(Spmv(phantom, pteam, nc), std::invalid_argument);
+  // Replicating x needs a kernel configured with replication.
+  SpmvConfig rc;
+  rc.policy = SpmvConfig::Policy::kNextTouchReplX;
+  EXPECT_THROW(Spmv(m, team, rc), std::invalid_argument);
 }
 
 TEST(Spmv, DeterministicAcrossRuns) {

@@ -2,8 +2,9 @@
 // asymmetric device write bandwidth, numab promotion up-tier, the watermark
 // demotion daemon (cold-page selection, hysteresis against promote/demote
 // ping-pong, fault-injection drops), direct demotion under allocation
-// pressure vs. per-page ENOMEM with demotion off, the MPOL_PREFERRED_MANY
-// tier policy, and validate()'s tier-occupancy audit.
+// pressure (move_pages and migrate_pages) vs. per-page ENOMEM with demotion
+// off, the MPOL_PREFERRED_MANY tier policy, and validate()'s tier-occupancy
+// audit.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -319,6 +320,32 @@ TEST(TierDemotion, DirectDemotionKeepsMovePagesSucceeding) {
   EXPECT_EQ(k.stats().migrations_failed, 0u);
   EXPECT_GT(k.stats().tier_demotions, 0u);
   EXPECT_GE(k.stats().tier_demote_passes, 0u);
+  k.validate(pid);
+}
+
+TEST(TierDemotion, DirectDemotionKeepsMigratePagesSucceeding) {
+  // migrate_pages runs the same stop-and-copy batch as move_pages, direct
+  // demotion included: a whole-process move into the full fast node evicts
+  // filler pages down-tier instead of leaving the moved pages behind.
+  Kernel k(tiered_config());
+  const kern::Pid pid = k.create_process();
+  ThreadCtx t = ctx_on(pid, 2);
+  const vm::Vaddr filler =
+      k.sys_mmap(t, 240 * mem::kPageSize, vm::Prot::kReadWrite,
+                 vm::MemPolicy::bind(topo::node_mask_of(0)));
+  k.access(t, filler, 240 * mem::kPageSize, vm::Prot::kWrite, 0.0);
+  const vm::Vaddr buf =
+      k.sys_mmap(t, 64 * mem::kPageSize, vm::Prot::kReadWrite,
+                 vm::MemPolicy::bind(topo::node_mask_of(1)));
+  k.access(t, buf, 64 * mem::kPageSize, vm::Prot::kWrite, 0.0);
+
+  const kern::SyscallResult r = k.sys_migrate_pages(
+      t, pid, topo::node_mask_of(1), topo::node_mask_of(0));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.count(), 64);
+  EXPECT_EQ(k.pages_on_node(pid, buf, 64 * mem::kPageSize, 0), 64u);
+  EXPECT_EQ(k.stats().migrations_failed, 0u);
+  EXPECT_GT(k.stats().tier_demotions, 0u);
   k.validate(pid);
 }
 
