@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -728,6 +729,215 @@ TEST_F(KernelTest, StridedReadServesReplicasInsideARow) {
   }
   EXPECT_EQ(k.pages_on_node(t0.pid, a, len, 0), 8u);  // homes stay put
   EXPECT_NO_THROW(k.validate(t1));
+}
+
+// --- differential: one multi-row strided call vs one call per row -----------
+//
+// LU-shaped tiles go through one access_strided() call on one kernel and
+// through one single-row call per row on a twin kernel built by the same
+// operations. How rows are batched must not show: results, per-node bytes,
+// kernel counters and every PTE agree after each tile.
+class StridedTwinTest : public ::testing::Test {
+ protected:
+  static constexpr std::uint64_t kChunk = vm::PageTable::kChunkPages;
+  static constexpr std::uint64_t kRegionPages = 4 * kChunk + 64;
+
+  struct Twin {
+    explicit Twin(const topo::Topology& topo)
+        : k(KernelConfig{.topology = topo,
+                         .backing = mem::Backing::kPhantom,
+                         .replication = true}) {
+      pid = k.create_process("twin");
+      // Repairs an mprotect-narrowed page, as the user-space next-touch
+      // library's handler does.
+      k.set_sigsegv_handler(pid, [this](ThreadCtx& t, const SigInfo& si) {
+        const vm::Vaddr page = vm::addr_of(vm::vpn_of(si.fault_addr));
+        k.sys_mprotect(t, page, mem::kPageSize, vm::Prot::kReadWrite);
+      });
+    }
+    ThreadCtx on(topo::CoreId core) const {
+      ThreadCtx t;
+      t.pid = pid;
+      t.core = core;
+      return t;
+    }
+    Kernel k;
+    Pid pid = 0;
+  };
+
+  struct Tile {
+    std::uint64_t first_page = 0;  ///< region page of row 0
+    std::uint64_t offset = 0;      ///< bytes into that page
+    std::uint64_t rows = 0;
+    std::uint64_t row_bytes = 0;
+    std::uint64_t stride = 0;
+    vm::Prot want = vm::Prot::kRead;
+    topo::CoreId core = 0;
+  };
+
+  /// Same operations on both twins: a page-interleaved region (the static
+  /// LU matrix layout), written from node 0 except for one whole chunk in
+  /// the middle, which is never established.
+  StridedTwinTest() {
+    for (Twin* tw : {&one_, &per_row_}) {
+      ThreadCtx t = tw->on(0);
+      base_ = tw->k.sys_mmap(t, kRegionPages * mem::kPageSize,
+                             vm::Prot::kReadWrite,
+                             vm::MemPolicy::interleave(topo_.all_nodes_mask()));
+      const vm::Vpn first = vm::vpn_of(base_);
+      hole_lo_ = ((first + kChunk - 1) / kChunk + 1) * kChunk - first;
+      tw->k.access(t, base_, hole_lo_ * mem::kPageSize, vm::Prot::kWrite, 0.0);
+      const std::uint64_t hi = hole_lo_ + kChunk;
+      tw->k.access(t, page(hi), (kRegionPages - hi) * mem::kPageSize,
+                   vm::Prot::kWrite, 0.0);
+    }
+  }
+
+  vm::Vaddr page(std::uint64_t i) const { return base_ + i * mem::kPageSize; }
+
+  void apply(const std::function<void(Twin&)>& op) {
+    op(one_);
+    op(per_row_);
+  }
+
+  void run_and_compare(const Tile& tile) {
+    const vm::Vaddr start = page(tile.first_page) + tile.offset;
+    ThreadCtx t1 = one_.on(tile.core);
+    std::vector<std::uint64_t> nodes1;
+    const AccessResult r1 =
+        one_.k.access_strided(t1, start, tile.rows, tile.row_bytes, tile.stride,
+                              tile.want, 0.0, 1.0, &nodes1);
+
+    ThreadCtx t2 = per_row_.on(tile.core);
+    AccessResult r2;
+    std::vector<std::uint64_t> nodes2(topo_.num_nodes(), 0);
+    for (std::uint64_t r = 0; r < tile.rows; ++r) {
+      std::vector<std::uint64_t> row_nodes;
+      const AccessResult rr = per_row_.k.access_strided(
+          t2, start + r * tile.stride, 1, tile.row_bytes, tile.stride,
+          tile.want, 0.0, 1.0, &row_nodes);
+      r2.pages += rr.pages;
+      r2.minor_faults += rr.minor_faults;
+      r2.nexttouch_migrations += rr.nexttouch_migrations;
+      r2.nexttouch_hits_local += rr.nexttouch_hits_local;
+      r2.sigsegv_delivered += rr.sigsegv_delivered;
+      for (std::size_t n = 0; n < nodes2.size(); ++n) nodes2[n] += row_nodes[n];
+    }
+
+    EXPECT_EQ(r1.pages, r2.pages);
+    EXPECT_EQ(r1.minor_faults, r2.minor_faults);
+    EXPECT_EQ(r1.nexttouch_migrations, r2.nexttouch_migrations);
+    EXPECT_EQ(r1.nexttouch_hits_local, r2.nexttouch_hits_local);
+    EXPECT_EQ(r1.sigsegv_delivered, r2.sigsegv_delivered);
+    EXPECT_EQ(nodes1, nodes2);
+    EXPECT_EQ(stats_words(one_.k.stats()), stats_words(per_row_.k.stats()));
+    const vm::PageTable& pt1 = one_.k.address_space(one_.pid).page_table();
+    const vm::PageTable& pt2 = per_row_.k.address_space(per_row_.pid).page_table();
+    for (std::uint64_t i = 0; i < kRegionPages; ++i) {
+      const vm::Vpn vpn = vm::vpn_of(page(i));
+      const vm::Pte* p1 = pt1.find(vpn);
+      const vm::Pte* p2 = pt2.find(vpn);
+      ASSERT_EQ(p1 == nullptr, p2 == nullptr) << "page " << i;
+      if (p1 == nullptr) continue;
+      EXPECT_EQ(p1->flags, p2->flags) << "page " << i;
+      EXPECT_EQ(p1->write_gen, p2->write_gen) << "page " << i;
+      EXPECT_EQ(one_.k.page_node(one_.pid, page(i)),
+                per_row_.k.page_node(per_row_.pid, page(i)))
+          << "page " << i;
+    }
+    EXPECT_NO_THROW(one_.k.validate(t1));
+    EXPECT_NO_THROW(per_row_.k.validate(t2));
+  }
+
+  static std::vector<std::uint64_t> stats_words(const KernelStats& s) {
+    static_assert(sizeof(KernelStats) % sizeof(std::uint64_t) == 0);
+    std::vector<std::uint64_t> w(sizeof(KernelStats) / sizeof(std::uint64_t));
+    std::memcpy(w.data(), &s, sizeof(KernelStats));
+    return w;
+  }
+
+  topo::Topology topo_ = topo::Topology::quad_opteron();
+  Twin one_{topo_};
+  Twin per_row_{topo_};
+  vm::Vaddr base_ = 0;
+  std::uint64_t hole_lo_ = 0;  ///< region page where the unmapped chunk starts
+};
+
+TEST_F(StridedTwinTest, LuRowsAcrossChunksWithUnestablishedChunk) {
+  // 1 KiB rows at a 16-page stride (the 8k/128 LU tile shape): 132 rows
+  // cross four chunks, one of them never established, so its rows
+  // first-touch mid-tile.
+  ASSERT_EQ(one_.k.address_space(one_.pid).page_table().find(
+                vm::vpn_of(page(hole_lo_))),
+            nullptr);
+  run_and_compare({.first_page = 0, .offset = 256, .rows = kRegionPages / 16,
+                   .row_bytes = 1024, .stride = 16 * mem::kPageSize,
+                   .want = vm::Prot::kReadWrite, .core = 4});
+  const vm::Vpn hole = vm::vpn_of(page(hole_lo_));
+  EXPECT_EQ(one_.k.address_space(one_.pid).page_table().count_present(
+                hole, hole + kChunk),
+            kChunk / 16);
+}
+
+TEST_F(StridedTwinTest, SubPageStrideSharesPages) {
+  run_and_compare({.first_page = 3, .offset = 0, .rows = 64,
+                   .row_bytes = 1024, .stride = 2048,
+                   .want = vm::Prot::kReadWrite, .core = 8});
+}
+
+TEST_F(StridedTwinTest, RowsSpanningTwoPages) {
+  // 4 KiB rows starting mid-page (the 16k/1024 shape), crossing the
+  // unestablished chunk's edge.
+  run_and_compare({.first_page = hole_lo_ - 200, .offset = 2048, .rows = 60,
+                   .row_bytes = mem::kPageSize, .stride = 8 * mem::kPageSize,
+                   .want = vm::Prot::kRead, .core = 12});
+}
+
+TEST_F(StridedTwinTest, NextTouchSubsetRemoteAndLocal) {
+  // Interleaved pages: a quarter of the marked ones are already on the
+  // reader's node 1 (local hits), the rest migrate.
+  const std::uint64_t lo = hole_lo_ + kChunk;
+  apply([&](Twin& tw) {
+    ThreadCtx t = tw.on(0);
+    ASSERT_EQ(tw.k.sys_madvise(t, page(lo + 40), 300 * mem::kPageSize,
+                               Advice::kMigrateOnNextTouch),
+              0);
+  });
+  run_and_compare({.first_page = lo, .offset = 512, .rows = 120,
+                   .row_bytes = 1024, .stride = 3 * mem::kPageSize,
+                   .want = vm::Prot::kRead, .core = 5});
+  EXPECT_GT(one_.k.stats().pages_migrated_nexttouch, 0u);
+  EXPECT_GT(one_.k.stats().nexttouch_faults,
+            one_.k.stats().pages_migrated_nexttouch);
+}
+
+TEST_F(StridedTwinTest, MprotectNarrowedRowFaultsAndRepairs) {
+  apply([&](Twin& tw) {
+    ThreadCtx t = tw.on(0);
+    ASSERT_EQ(tw.k.sys_mprotect(t, page(64), 2 * mem::kPageSize,
+                                vm::Prot::kRead),
+              0);
+  });
+  run_and_compare({.first_page = 0, .offset = 0, .rows = 40,
+                   .row_bytes = 2048, .stride = 4 * mem::kPageSize,
+                   .want = vm::Prot::kWrite, .core = 1});
+  EXPECT_GT(one_.k.stats().signals_delivered, 0u);
+}
+
+TEST_F(StridedTwinTest, ReplicaReads) {
+  const std::uint64_t lo = hole_lo_ + kChunk + 100;
+  apply([&](Twin& tw) {
+    ThreadCtx t = tw.on(0);
+    ASSERT_EQ(tw.k.sys_madvise(t, page(lo), 64 * mem::kPageSize,
+                               Advice::kReplicate),
+              0);
+  });
+  for (topo::CoreId core : {12u, 12u, 4u}) {
+    run_and_compare({.first_page = lo - 10, .offset = 100, .rows = 40,
+                     .row_bytes = 2048, .stride = 2 * mem::kPageSize,
+                     .want = vm::Prot::kRead, .core = core});
+  }
+  EXPECT_GT(one_.k.replica_pages(one_.pid), 0u);
 }
 
 TEST_F(KernelTest, ValidateThreadRejectsForeignNumabCache) {
