@@ -1,7 +1,9 @@
 #include "blas/blas.hpp"
 
+#include <array>
 #include <cassert>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 
 namespace numasim::blas {
@@ -44,13 +46,17 @@ sim::Task<void> BlasEngine::account(rt::Thread& th, std::uint64_t flops,
   }
 
   // Walk pages (faults, next-touch migration) and collect where the bytes
-  // live; the data-plane charge happens below, in bounded slices.
-  std::vector<std::uint64_t> by_node(m_.topology().num_nodes(), 0);
-  std::vector<std::uint64_t> tile_nodes;
+  // live; the data-plane charge happens below, in bounded slices. The
+  // buckets live in this call's frame: one engine serves every team thread,
+  // and another thread's account() runs while this one is suspended.
+  const topo::NodeId nodes = m_.topology().num_nodes();
+  std::array<std::uint64_t, topo::kMaxNodes> by_node{};
   auto walk = [&](const Tile& tile, vm::Prot want) {
+    std::array<std::uint64_t, topo::kMaxNodes> tile_nodes{};
     k.access_strided(ctx, tile.base, tile.rows, tile.row_bytes(),
-                     tile.stride_bytes(), want, 0.0, 1.0, &tile_nodes);
-    for (std::size_t n = 0; n < by_node.size(); ++n) by_node[n] += tile_nodes[n];
+                     tile.stride_bytes(), want, 0.0, 1.0,
+                     std::span(tile_nodes.data(), nodes));
+    for (topo::NodeId n = 0; n < nodes; ++n) by_node[n] += tile_nodes[n];
   };
   for (std::size_t i = 0; i < nreads; ++i) walk(reads[i], vm::Prot::kRead);
   for (std::size_t i = 0; i < nwrites; ++i) walk(writes[i], vm::Prot::kReadWrite);
@@ -58,7 +64,7 @@ sim::Task<void> BlasEngine::account(rt::Thread& th, std::uint64_t flops,
 
   const double rate = k.cost().core_stream_bytes_per_us;
   const std::uint64_t slice = params_.stream_slice_bytes;
-  for (topo::NodeId n = 0; n < by_node.size(); ++n) {
+  for (topo::NodeId n = 0; n < nodes; ++n) {
     auto remaining = static_cast<std::uint64_t>(
         static_cast<double>(by_node[n]) * scale + 0.5);
     while (remaining > 0) {

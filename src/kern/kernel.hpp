@@ -376,15 +376,17 @@ class Kernel {
   /// node and charged in bulk, scaled by `traffic_scale` (a cache model
   /// above uses >1 for out-of-cache traffic amplification). One engine
   /// event regardless of size, so million-page tiles stay simulable.
-  /// When `bytes_by_node` is non-null it is resized to num_nodes and filled
-  /// with the touched bytes per holding node; pass stream_rate 0 in that
-  /// case and charge the traffic yourself (e.g. in slices, via
-  /// charge_stream) so concurrent threads interleave fairly.
+  /// When `bytes_by_node` is non-empty (at least num_nodes entries; throws
+  /// std::invalid_argument otherwise) its first num_nodes entries are
+  /// overwritten with the touched bytes per holding node (zeros for an
+  /// empty extent); pass stream_rate 0 in that case and charge the traffic
+  /// yourself (e.g. in slices, via charge_stream) so concurrent threads
+  /// interleave fairly.
   AccessResult access_strided(ThreadCtx& t, vm::Vaddr base, std::uint64_t rows,
                               std::uint64_t row_bytes, std::uint64_t stride_bytes,
                               vm::Prot want, double stream_rate_bytes_per_us,
                               double traffic_scale = 1.0,
-                              std::vector<std::uint64_t>* bytes_by_node = nullptr);
+                              std::span<std::uint64_t> bytes_by_node = {});
 
   /// Charge one data stream of `bytes` between the calling core and
   /// `mem_node` at `rate` bytes/us (plus one access latency), advancing the
@@ -517,16 +519,19 @@ class Kernel {
   bool do_handle_fault(ThreadCtx& t, Process& p, vm::Vaddr addr, vm::Prot want,
                        AccessResult& res, CopyBatch* copies);
 
-  /// The access walk shared by access() and access_strided(): resolves every
-  /// page of the extent [addr, end) in order, faulting it in as needed
+  /// The one access walk: access() is a single row, access_strided() its
+  /// `rows` (>= 1) rows of `row_bytes` (>= 1) at base, base+stride, ...
+  /// Resolves every page of each row in order, faulting it in as needed
   /// (SegfaultError after kMaxFaultRetries), dirties and stamps it on a
   /// write, resolves replicas on a read, and reports each page's serving
-  /// node and touched bytes to `on_page(node, bytes)`. `before_fault()` runs
-  /// ahead of every fault.
+  /// node and touched bytes to `on_page(node, bytes)`. `before_fault()`
+  /// runs ahead of every fault. Holds the current page-table chunk across
+  /// rows, so the table is searched once per chunk entered or fault.
   template <typename PageFn, typename FaultFn>
-  void walk_extent(ThreadCtx& t, Process& p, vm::Vaddr addr, vm::Vaddr end,
-                   vm::Prot want, topo::NodeId core_node, AccessResult& res,
-                   CopyBatch& copies, PageFn&& on_page, FaultFn&& before_fault);
+  void walk_rows(ThreadCtx& t, Process& p, vm::Vaddr base, std::uint64_t rows,
+                 std::uint64_t row_bytes, std::uint64_t stride, vm::Prot want,
+                 topo::NodeId core_node, AccessResult& res, CopyBatch& copies,
+                 PageFn&& on_page, FaultFn&& before_fault);
 
   /// For a read of a kReplica page: the node whose copy serves `reader`,
   /// creating the reader-local replica (charged) on first use.

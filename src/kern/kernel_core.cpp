@@ -1,9 +1,11 @@
 // Kernel core: process management, the MMU emulation (access / faults),
 // page population and migration primitives, and timing-free inspection.
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstring>
 #include <sstream>
+#include <stdexcept>
 #include <unordered_set>
 
 #include "kern/kernel.hpp"
@@ -794,47 +796,77 @@ bool Kernel::do_handle_fault(ThreadCtx& t, Process& p, vm::Vaddr addr,
 }
 
 template <typename PageFn, typename FaultFn>
-void Kernel::walk_extent(ThreadCtx& t, Process& p, vm::Vaddr addr,
-                         vm::Vaddr end, vm::Prot want, topo::NodeId core_node,
-                         AccessResult& res, CopyBatch& copies, PageFn&& on_page,
-                         FaultFn&& before_fault) {
+void Kernel::walk_rows(ThreadCtx& t, Process& p, vm::Vaddr base,
+                       std::uint64_t rows, std::uint64_t row_bytes,
+                       std::uint64_t stride, vm::Prot want,
+                       topo::NodeId core_node, AccessResult& res,
+                       CopyBatch& copies, PageFn&& on_page,
+                       FaultFn&& before_fault) {
+  constexpr unsigned kBits = vm::PageTable::kChunkBits;
+  constexpr vm::Vpn kIndexMask = vm::PageTable::kChunkPages - 1;
   vm::PageTable& pt = p.as.page_table();
   const bool writing = prot_allows(want, vm::Prot::kWrite);
+  // The held chunk: its key and its PTEs. Chunks are arena-backed and never
+  // move, so the pointer stays good across rows and faults.
+  std::uint64_t key = ~0ull;
+  vm::Pte* chunk = nullptr;
+  std::uint64_t r = 0;
+  vm::Vaddr addr = base;
   vm::Vpn vpn = vm::vpn_of(addr);
-  const vm::Vpn vpn_end = vm::vpn_of(end - 1) + 1;
-  // PTEs are walked by pointer within each 512-entry chunk (arena-backed,
-  // address-stable even when a fault grows the table): one find() per
-  // chunk/fault instead of one per page. Fault handling and the per-page
-  // reports happen in exactly per-page order.
-  while (vpn < vpn_end) {
-    const vm::Vaddr fault_addr = std::max(addr, vm::addr_of(vpn));
-    vm::Pte* pte = pt.find(vpn);
-    unsigned retries = 0;
-    while (pte == nullptr || !pte->hw_allows(want)) {
-      before_fault();
-      if (++retries > kMaxFaultRetries) throw SegfaultError{fault_addr};
-      handle_fault(t, p, fault_addr, want, res, &copies);
-      pte = pt.find(vpn);
-    }
-    const vm::Vpn chunk_end =
-        std::min(vpn_end, (vpn | (vm::PageTable::kChunkPages - 1)) + 1);
+  vm::Vpn vpn_end = vm::vpn_of(addr + row_bytes - 1) + 1;
+  std::uint64_t pages = 0;
+  // Reports page `vpn` and steps to the next page, or row; false when the
+  // last row is done.
+  auto report = [&](topo::NodeId node) {
+    const vm::Vaddr page_start = vm::addr_of(vpn);
+    on_page(node, std::min(addr + row_bytes, page_start + mem::kPageSize) -
+                      std::max(addr, page_start));
+    ++pages;
+    if (++vpn < vpn_end) return true;
+    if (++r == rows) return false;
+    addr += stride;
+    vpn = vm::vpn_of(addr);
+    vpn_end = vm::vpn_of(addr + row_bytes - 1) + 1;
+    return true;
+  };
+  for (;;) {
+    // Fast path, free of calls so the walk state stays in registers: pages
+    // of the held chunk that need no fault and no replica resolution.
     for (;;) {
-      const vm::Vaddr page_start = vm::addr_of(vpn);
-      const vm::Vaddr lo = std::max(addr, page_start);
-      const vm::Vaddr hi = std::min(end, page_start + mem::kPageSize);
+      if ((vpn >> kBits) != key) break;
+      vm::Pte* pte = chunk + (vpn & kIndexMask);
+      if (!pte->hw_allows(want)) break;
       if (writing) {
         pte->set(vm::Pte::kDirty);
         ++pte->write_gen;
+      } else if (pte->flags & vm::Pte::kReplica) {
+        break;
       }
-      topo::NodeId node = phys_.node_of(pte->frame);
-      if ((pte->flags & vm::Pte::kReplica) && !writing)
-        node = resolve_replica(t, p, *pte, vpn, core_node, &copies);
-      on_page(node, hi - lo);
-      ++res.pages;
-      ++vpn;
-      if (vpn == chunk_end) break;
-      ++pte;
-      if (!pte->hw_allows(want)) break;  // back to the fault path
+      if (!report(phys_.node_of(pte->frame))) {
+        res.pages += pages;
+        return;
+      }
+    }
+    // Slow path for page `vpn`: enter its chunk (one table lookup per chunk
+    // entered, and again after each fault, which may create the chunk) and
+    // fault the page in. The fast path then takes the page, unless it is a
+    // replica to read.
+    key = vpn >> kBits;
+    chunk = pt.chunk_ptes(vpn);
+    vm::Pte* pte = chunk != nullptr ? chunk + (vpn & kIndexMask) : nullptr;
+    unsigned retries = 0;
+    while (pte == nullptr || !pte->hw_allows(want)) {
+      const vm::Vaddr fault_addr = std::max(addr, vm::addr_of(vpn));
+      before_fault();
+      if (++retries > kMaxFaultRetries) throw SegfaultError{fault_addr};
+      handle_fault(t, p, fault_addr, want, res, &copies);
+      chunk = pt.chunk_ptes(vpn);
+      pte = chunk != nullptr ? chunk + (vpn & kIndexMask) : nullptr;
+    }
+    if (writing || !(pte->flags & vm::Pte::kReplica)) continue;
+    if (!report(resolve_replica(t, p, *pte, vpn, core_node, &copies))) {
+      res.pages += pages;
+      return;
     }
   }
 }
@@ -867,8 +899,8 @@ AccessResult Kernel::access(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len,
     t.clock = s.finish + lat;
     run_bytes = 0;
   };
-  walk_extent(
-      t, p, addr, end, want, core_node, res, copies,
+  walk_rows(
+      t, p, addr, 1, len, len, want, core_node, res, copies,
       [&](topo::NodeId node, std::uint64_t bytes) {
         if (node != run_node) flush_run();
         run_node = node;
@@ -898,8 +930,15 @@ AccessResult Kernel::access_strided(ThreadCtx& t, vm::Vaddr base,
                                     std::uint64_t stride_bytes, vm::Prot want,
                                     double stream_rate_bytes_per_us,
                                     double traffic_scale,
-                                    std::vector<std::uint64_t>* bytes_by_node) {
+                                    std::span<std::uint64_t> bytes_by_node) {
   AccessResult res;
+  const unsigned nodes = topo_.num_nodes();
+  if (!bytes_by_node.empty()) {
+    if (bytes_by_node.size() < nodes)
+      throw std::invalid_argument{
+          "access_strided: bytes_by_node has fewer entries than nodes"};
+    std::fill_n(bytes_by_node.begin(), nodes, std::uint64_t{0});
+  }
   if (rows == 0 || row_bytes == 0) return res;
   Process& p = proc(t.pid);
   const topo::NodeId core_node = topo_.node_of_core(t.core);
@@ -907,23 +946,18 @@ AccessResult Kernel::access_strided(ThreadCtx& t, vm::Vaddr base,
   const sim::Time entry = t.clock;
   CopyBatch copies;
 
-  // Per-node byte buckets, charged in bulk at the end.
-  std::vector<std::uint64_t> bytes_from(topo_.num_nodes(), 0);
-  for (std::uint64_t r = 0; r < rows; ++r) {
-    const vm::Vaddr row_start = base + r * stride_bytes;
-    walk_extent(
-        t, p, row_start, row_start + row_bytes, want, core_node, res, copies,
-        [&](topo::NodeId node, std::uint64_t bytes) { bytes_from[node] += bytes; },
-        [] {});
-  }
+  // Per-node byte buckets, charged in bulk at the end: the caller's, or
+  // call-local ones when it wants none.
+  std::array<std::uint64_t, topo::kMaxNodes> local{};
+  std::uint64_t* bytes_from =
+      bytes_by_node.empty() ? local.data() : bytes_by_node.data();
+  walk_rows(
+      t, p, base, rows, row_bytes, stride_bytes, want, core_node, res, copies,
+      [&](topo::NodeId node, std::uint64_t bytes) { bytes_from[node] += bytes; },
+      [] {});
 
-  if (bytes_by_node != nullptr) {
-    bytes_by_node->assign(topo_.num_nodes(), 0);
-    for (topo::NodeId n = 0; n < topo_.num_nodes(); ++n)
-      (*bytes_by_node)[n] = bytes_from[n];
-  }
   if (stream_rate_bytes_per_us > 0.0) {
-    for (topo::NodeId n = 0; n < topo_.num_nodes(); ++n) {
+    for (topo::NodeId n = 0; n < nodes; ++n) {
       if (bytes_from[n] == 0) continue;
       const auto scaled = static_cast<std::uint64_t>(
           static_cast<double>(bytes_from[n]) * traffic_scale + 0.5);

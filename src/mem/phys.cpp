@@ -73,7 +73,7 @@ void PhysMem::mark_shadow(FrameId f) {
   assert(is_live(f));
   if (!frames_[f].shadow) {
     frames_[f].shadow = true;
-    ++per_node_[frames_[f].node].shadow;
+    ++per_node_[node_[f]].shadow;
   }
 }
 

@@ -71,9 +71,10 @@ class PhysMem {
   /// frames already allocated above the new cap stay valid until freed.
   void set_node_capacity(topo::NodeId n, std::uint64_t frames);
 
-  /// Home node of frame `f`. Reads a dense side array rather than striding
-  /// the Frame records — this is the single hottest lookup in the simulator
-  /// (every access/walk resolves frame placement per page).
+  /// Home node of frame `f`. Reads a dense byte-per-frame side array rather
+  /// than striding the Frame records — this is the single hottest lookup in
+  /// the simulator (every access/walk resolves frame placement per page),
+  /// and at a byte per frame a multi-GiB workset's map fits in L2.
   topo::NodeId node_of(FrameId f) const { return node_[f]; }
 
   // --- shadow-frame accounting (transactional migration) ---------------------
@@ -137,9 +138,8 @@ class PhysMem {
 
  private:
   struct Frame {
-    topo::NodeId node = topo::kInvalidNode;
-    bool in_use = false;
     std::unique_ptr<std::byte[]> data;
+    bool in_use = false;
     bool shadow = false;  ///< held by an in-flight transactional migration
   };
   struct NodePool {
@@ -159,7 +159,9 @@ class PhysMem {
   const topo::Topology& topo_;
   Backing backing_;
   std::vector<Frame> frames_;
-  std::vector<topo::NodeId> node_;  // parallel to frames_: home node (fixed)
+  // Parallel to frames_: home node (fixed), the only record of it.
+  static_assert(topo::kMaxNodes <= 256, "node ids must fit the byte-wide map");
+  std::vector<std::uint8_t> node_;
   std::vector<NodePool> per_node_;
   std::vector<topo::MemTier> node_tier_;             // cached node -> tier
   std::array<std::uint64_t, 3> tier_used_{};         // live frames per tier
@@ -176,8 +178,8 @@ inline void PhysMem::clear_shadow(FrameId f) {
   assert(f < frames_.size());
   if (frames_[f].shadow) {
     frames_[f].shadow = false;
-    assert(per_node_[frames_[f].node].shadow > 0);
-    --per_node_[frames_[f].node].shadow;
+    assert(per_node_[node_[f]].shadow > 0);
+    --per_node_[node_[f]].shadow;
   }
 }
 
@@ -203,8 +205,8 @@ inline FrameId PhysMem::take_frame(topo::NodeId node, bool use_reserve) {
     frames_[id].in_use = true;
   } else {
     id = static_cast<FrameId>(frames_.size());
-    frames_.push_back(Frame{node, true, nullptr});
-    node_.push_back(node);
+    frames_.push_back(Frame{nullptr, true});
+    node_.push_back(static_cast<std::uint8_t>(node));
   }
   if (backing_ == Backing::kMaterialized && !frames_[id].data) {
     frames_[id].data = std::make_unique<std::byte[]>(kPageSize);
@@ -217,11 +219,12 @@ inline void PhysMem::free(FrameId f) {
   clear_shadow(f);
   Frame& frame = frames_[f];
   frame.in_use = false;
-  NodePool& pool = per_node_[frame.node];
+  const topo::NodeId node = node_[f];
+  NodePool& pool = per_node_[node];
   assert(pool.used > 0);
   --pool.used;
-  assert(tier_used_[static_cast<std::size_t>(node_tier_[frame.node])] > 0);
-  --tier_used_[static_cast<std::size_t>(node_tier_[frame.node])];
+  assert(tier_used_[static_cast<std::size_t>(node_tier_[node])] > 0);
+  --tier_used_[static_cast<std::size_t>(node_tier_[node])];
   ++frees_;
   pool.free_list.push_back(f);
 }

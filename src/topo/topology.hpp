@@ -28,6 +28,10 @@ inline constexpr NodeId kInvalidNode = static_cast<NodeId>(-1);
 /// A set of NUMA nodes, as a bitmask (like Linux nodemask_t).
 using NodeMask = std::uint64_t;
 
+/// Most nodes a topology may have: one bit each in a NodeMask. Per-node
+/// tables may be sized by it (and node ids stored in a byte).
+inline constexpr NodeId kMaxNodes = 64;
+
 constexpr NodeMask node_mask_of(NodeId n) { return NodeMask{1} << n; }
 constexpr bool mask_contains(NodeMask m, NodeId n) { return (m >> n) & 1; }
 
@@ -173,7 +177,7 @@ class Topology {
 
   /// Mask containing every node.
   NodeMask all_nodes_mask() const {
-    return num_nodes() >= 64 ? ~NodeMask{0} : (NodeMask{1} << num_nodes()) - 1;
+    return num_nodes() >= kMaxNodes ? ~NodeMask{0} : (NodeMask{1} << num_nodes()) - 1;
   }
 
   /// Human-readable dump (akin to `numactl --hardware`).

@@ -2,6 +2,17 @@
 
 namespace numasim::vm {
 
+PageTable::Chunk* PageTable::chunk_miss(std::uint64_t key, bool create) {
+  auto it = chunks_.find(key);
+  if (it == chunks_.end()) {
+    if (!create) return nullptr;
+    it = chunks_.emplace(key, arena_.alloc()).first;
+  }
+  cached_key_ = key;
+  cached_chunk_ = it->second;
+  return cached_chunk_;
+}
+
 void PageTable::clear_range(Vpn first, Vpn last) {
   for_each_run(first, last, [](PageRun run) {
     for (Pte& pte : run.ptes) pte = Pte{};

@@ -68,6 +68,15 @@ class PageTable {
     return (*chunk_of(vpn, /*create=*/true))[vpn & (kChunkPages - 1)];
   }
 
+  /// The kChunkPages PTEs of the chunk holding `vpn` (`vpn`'s own entry is
+  /// at index `vpn & (kChunkPages - 1)`), or nullptr if that chunk was never
+  /// established. Chunks never move, so a walker may hold the pointer across
+  /// page faults; only a chunk it saw as absent can appear meanwhile.
+  Pte* chunk_ptes(Vpn vpn) {
+    Chunk* c = chunk_of(vpn, /*create=*/false);
+    return c ? c->data() : nullptr;
+  }
+
   /// Invoke `fn` on each run of existing PTEs covering [first, last), in
   /// ascending page order. Pages whose chunk was never established are
   /// skipped — exactly the pages for which find() returns nullptr. `fn`
@@ -130,18 +139,15 @@ class PageTable {
     std::size_t used_ = kBlockChunks;
   };
 
+  /// One-entry-cache hit inline; the hash lookup is out of line so every
+  /// find()/ensure() call site stays small enough to inline. The cached key
+  /// starts at an unreachable value, so a key match implies a cached chunk.
   Chunk* chunk_of(Vpn vpn, bool create) {
     const std::uint64_t key = vpn >> kChunkBits;
-    if (key == cached_key_ && cached_chunk_ != nullptr) return cached_chunk_;
-    auto it = chunks_.find(key);
-    if (it == chunks_.end()) {
-      if (!create) return nullptr;
-      it = chunks_.emplace(key, arena_.alloc()).first;
-    }
-    cached_key_ = key;
-    cached_chunk_ = it->second;
-    return cached_chunk_;
+    if (key == cached_key_) return cached_chunk_;
+    return chunk_miss(key, create);
   }
+  Chunk* chunk_miss(std::uint64_t key, bool create);
 
   ChunkArena arena_;
   std::unordered_map<std::uint64_t, Chunk*> chunks_;

@@ -602,6 +602,23 @@ TEST_F(KernelTest, AccessLenZeroTouchesNothing) {
   EXPECT_EQ(pte_of(a), nullptr);
 }
 
+TEST_F(KernelTest, StridedNodeBucketsAreOverwrittenAndSizeChecked) {
+  ThreadCtx t = ctx_on(4);
+  const vm::Vaddr a = k_.sys_mmap(t, 4 * mem::kPageSize, vm::Prot::kReadWrite);
+  std::vector<std::uint64_t> by_node(topo_.num_nodes(), 7);
+  k_.access_strided(t, a, 2, 1024, 2 * mem::kPageSize, vm::Prot::kWrite, 0.0,
+                    1.0, by_node);
+  EXPECT_EQ(by_node, (std::vector<std::uint64_t>{0, 2048, 0, 0}));
+  // An empty extent still overwrites: callers may reuse one buffer.
+  k_.access_strided(t, a, 0, 1024, mem::kPageSize, vm::Prot::kRead, 0.0, 1.0,
+                    by_node);
+  EXPECT_EQ(by_node, std::vector<std::uint64_t>(topo_.num_nodes(), 0));
+  std::vector<std::uint64_t> short_buckets(topo_.num_nodes() - 1);
+  EXPECT_THROW(k_.access_strided(t, a, 1, 1024, mem::kPageSize,
+                                 vm::Prot::kRead, 0.0, 1.0, short_buckets),
+               std::invalid_argument);
+}
+
 TEST_F(KernelTest, AccessChunkBoundarySpanWithMidExtentFault) {
   // > 512 pages guarantees the extent crosses at least one page-table chunk
   // boundary wherever mmap placed it.
@@ -686,10 +703,10 @@ TEST_F(KernelTest, StridedRowsSpanChunkBoundaryAndFaultMidRow) {
   // partial; each row's hole is a whole interior page refaulted on node 1.
   ThreadCtx t1 = ctx_on(4);
   const std::uint64_t row_bytes = row_pages * mem::kPageSize - 200;
-  std::vector<std::uint64_t> by_node;
+  std::vector<std::uint64_t> by_node(topo_.num_nodes());
   const AccessResult res =
       k_.access_strided(t1, a + 100, rows, row_bytes, stride, vm::Prot::kRead,
-                        0.0, 1.0, &by_node);
+                        0.0, 1.0, by_node);
   EXPECT_EQ(res.pages, rows * row_pages);
   EXPECT_EQ(res.minor_faults, rows);
   ASSERT_EQ(by_node.size(), topo_.num_nodes());
@@ -716,11 +733,11 @@ TEST_F(KernelTest, StridedReadServesReplicasInsideARow) {
   t1.core = 4;
   t1.clock = sim::seconds(1);
   const std::uint64_t row_bytes = 2 * mem::kPageSize;
-  std::vector<std::uint64_t> by_node;
+  std::vector<std::uint64_t> by_node(topo_.num_nodes());
   for (int pass = 0; pass < 2; ++pass) {
     const AccessResult r =
         k.access_strided(t1, a + 512, 2, row_bytes, 4 * mem::kPageSize,
-                          vm::Prot::kRead, 0.0, 1.0, &by_node);
+                          vm::Prot::kRead, 0.0, 1.0, by_node);
     EXPECT_EQ(r.pages, 6u);
     // Every byte is served from node 1's replicas, made on the first pass.
     EXPECT_EQ(by_node[1], 2 * row_bytes);
@@ -803,19 +820,19 @@ class StridedTwinTest : public ::testing::Test {
   void run_and_compare(const Tile& tile) {
     const vm::Vaddr start = page(tile.first_page) + tile.offset;
     ThreadCtx t1 = one_.on(tile.core);
-    std::vector<std::uint64_t> nodes1;
+    std::vector<std::uint64_t> nodes1(topo_.num_nodes());
     const AccessResult r1 =
         one_.k.access_strided(t1, start, tile.rows, tile.row_bytes, tile.stride,
-                              tile.want, 0.0, 1.0, &nodes1);
+                              tile.want, 0.0, 1.0, nodes1);
 
     ThreadCtx t2 = per_row_.on(tile.core);
     AccessResult r2;
     std::vector<std::uint64_t> nodes2(topo_.num_nodes(), 0);
     for (std::uint64_t r = 0; r < tile.rows; ++r) {
-      std::vector<std::uint64_t> row_nodes;
+      std::vector<std::uint64_t> row_nodes(topo_.num_nodes());
       const AccessResult rr = per_row_.k.access_strided(
           t2, start + r * tile.stride, 1, tile.row_bytes, tile.stride,
-          tile.want, 0.0, 1.0, &row_nodes);
+          tile.want, 0.0, 1.0, row_nodes);
       r2.pages += rr.pages;
       r2.minor_faults += rr.minor_faults;
       r2.nexttouch_migrations += rr.nexttouch_migrations;

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "mem/phys.hpp"
 #include "topo/topology.hpp"
@@ -133,6 +134,45 @@ TEST_F(PhysMemTest, CapacityCapExhaustsAndRestores) {
   pm.set_node_capacity(2, 100);  // clamped to the construction-time size
   EXPECT_EQ(pm.capacity_frames(2), 8u);
   EXPECT_NE(pm.alloc_on(2), kInvalidFrame);
+}
+
+TEST(PhysMemMaxNodes, TopNodeFrameAccountsOnItsOwnNode) {
+  // The widest machine a topology allows; node 63 alone is on the far tier,
+  // so its frame's tier accounting cannot be confused with another node's.
+  const topo::Topology topo = topo::Topology::from_spec(
+      "nodes=64 cores=1 shape=ring tiers=dram:63,far:1");
+  ASSERT_EQ(topo.num_nodes(), topo::kMaxNodes);
+  PhysMem pm(topo, Backing::kPhantom, 4);
+  std::vector<FrameId> frames;
+  for (topo::NodeId n = 0; n < topo::kMaxNodes; ++n) {
+    frames.push_back(pm.alloc_on(n));
+    ASSERT_NE(frames.back(), kInvalidFrame);
+    EXPECT_EQ(pm.node_of(frames.back()), n);
+  }
+  const FrameId f = frames.back();
+  EXPECT_EQ(pm.used_frames(63), 1u);
+  EXPECT_EQ(pm.tier_used_frames(topo::MemTier::kFar), 1u);
+  EXPECT_EQ(pm.tier_used_frames(topo::MemTier::kDram), 63u);
+
+  pm.mark_shadow(f);
+  EXPECT_EQ(pm.shadow_frames(63), 1u);
+  EXPECT_EQ(pm.total_shadow_frames(), 1u);
+  pm.clear_shadow(f);
+  EXPECT_EQ(pm.shadow_frames(63), 0u);
+  pm.mark_shadow(f);
+  pm.free(f);  // drops the shadow mark with the frame
+  EXPECT_EQ(pm.shadow_frames(63), 0u);
+  EXPECT_EQ(pm.total_shadow_frames(), 0u);
+  EXPECT_EQ(pm.used_frames(63), 0u);
+  EXPECT_EQ(pm.free_frames(63), 4u);
+  EXPECT_EQ(pm.tier_used_frames(topo::MemTier::kFar), 0u);
+  EXPECT_EQ(pm.tier_used_frames(topo::MemTier::kDram), 63u);
+  EXPECT_NO_THROW(pm.audit_tiers());
+
+  // The freed frame goes back to node 63's pool only.
+  EXPECT_EQ(pm.alloc_on(63), f);
+  EXPECT_EQ(pm.node_of(f), 63u);
+  EXPECT_EQ(pm.tier_used_frames(topo::MemTier::kFar), 1u);
 }
 
 }  // namespace
