@@ -3,6 +3,7 @@
 // access performance from anywhere").
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "kern/kernel.hpp"
@@ -191,6 +192,78 @@ TEST_F(ReplicationTest, DontNeedDropsReplicas) {
   EXPECT_EQ(k_.replica_pages(pid_), 0u);
   EXPECT_EQ(k_.phys().total_used_frames(), 0u);
 }
+
+// Frame release: munmap, madvise(DONTNEED) and teardown_unmap each return
+// every home and replica frame of a replicated region that crosses a
+// page-table chunk and ends in an absent page, and leave a neighbouring
+// mapping alone.
+enum class Release { kMunmap, kDontNeed, kTeardown };
+
+class FrameReleaseTest : public ReplicationTest,
+                         public ::testing::WithParamInterface<Release> {};
+
+struct CountingSink final : obs::TraceSink {
+  void record(const obs::TraceEvent&) override { ++events; }
+  std::uint64_t events = 0;
+};
+
+TEST_P(FrameReleaseTest, FreesHomeAndReplicaFrames) {
+  ThreadCtx t0 = ctx_on(0);
+  const std::uint64_t keep_len = 4 * mem::kPageSize;
+  const vm::Vaddr keep = k_.sys_mmap(t0, keep_len, vm::Prot::kReadWrite, {}, "keep");
+  k_.access(t0, keep, keep_len, vm::Prot::kWrite, 3500.0);
+  const std::uint64_t before = k_.phys().total_used_frames();
+
+  const std::uint64_t len = (vm::PageTable::kChunkPages + 64) * mem::kPageSize;
+  const vm::Vaddr a = k_.sys_mmap(t0, len, vm::Prot::kReadWrite, {}, "r");
+  k_.access(t0, a, len - mem::kPageSize, vm::Prot::kWrite, 3500.0);
+  ASSERT_EQ(k_.sys_madvise(t0, a, len, Advice::kReplicate), 0);
+  for (topo::CoreId core : {4u, 8u, 12u}) {
+    ThreadCtx t = ctx_on(core, sim::seconds(1));
+    k_.access(t, a, len / 2, vm::Prot::kRead, 3500.0);
+  }
+  ASSERT_GT(k_.replica_pages(pid_), 0u);
+  ASSERT_GT(k_.phys().total_used_frames(), before);
+
+  switch (GetParam()) {
+    case Release::kMunmap:
+      EXPECT_EQ(k_.sys_munmap(t0, a, len), 0);
+      break;
+    case Release::kDontNeed:
+      EXPECT_EQ(k_.sys_madvise(t0, a, len, Advice::kDontNeed), 0);
+      break;
+    case Release::kTeardown: {
+      // No clock, stat or tracepoint moves: a lock probe right after the
+      // teardown costs what the same probe cost right before it.
+      ThreadCtx probe = ctx_on(0, sim::seconds(2));
+      k_.sys_mprotect(probe, keep, keep_len, vm::Prot::kReadWrite);
+      const sim::Time probe_cost = probe.clock - sim::seconds(2);
+      const KernelStats stats = k_.stats();
+      const sim::Time drained = k_.kmigrated().drained_at();
+      CountingSink sink;
+      k_.add_trace_sink(&sink);
+      k_.teardown_unmap(pid_, a, len);
+      k_.remove_trace_sink(&sink);
+      EXPECT_EQ(sink.events, 0u);
+      EXPECT_EQ(std::memcmp(&stats, &k_.stats(), sizeof stats), 0);
+      EXPECT_EQ(k_.kmigrated().drained_at(), drained);
+      const sim::Time start = probe.clock;
+      k_.sys_mprotect(probe, keep, keep_len, vm::Prot::kReadWrite);
+      EXPECT_EQ(probe.clock - start, probe_cost);
+      break;
+    }
+  }
+  EXPECT_EQ(k_.phys().total_used_frames(), before);
+  EXPECT_EQ(k_.replica_pages(pid_), 0u);
+  for (topo::NodeId n = 0; n < topo_.num_nodes(); ++n)
+    EXPECT_EQ(k_.pages_on_node(pid_, a, len, n), 0u) << "node " << n;
+  EXPECT_EQ(k_.pages_on_node(pid_, keep, keep_len, 0), 4u);
+  EXPECT_NO_THROW(k_.validate(pid_));
+}
+
+INSTANTIATE_TEST_SUITE_P(Paths, FrameReleaseTest,
+                         ::testing::Values(Release::kMunmap, Release::kDontNeed,
+                                           Release::kTeardown));
 
 TEST_F(ReplicationTest, ReplicateOverridesNextTouch) {
   const vm::Vaddr a = make_buffer(4);
