@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <span>
@@ -160,57 +161,71 @@ struct AccessResult {
   std::uint64_t sigsegv_delivered = 0;
 };
 
+/// Every bound KernelStats counter, declared once as X(field, registry
+/// name, doc). It expands to the struct's fields and to the registry
+/// bindings of Kernel::set_metrics; docs/observability.md lists each name.
+#define NUMASIM_KERNEL_COUNTERS(X)                                                    \
+  X(minor_faults, "kern.minor_faults", "first-touch faults (one per huge block)")     \
+  X(protection_faults, "kern.protection_faults", "faults that raised SIGSEGV")        \
+  X(nexttouch_faults, "kern.nexttouch_faults", "faults on next-touch pages")          \
+  X(pages_migrated_move, "kern.pages_migrated_move",                                  \
+    "pages moved by move_pages, the ranged calls and mbind")                          \
+  X(pages_migrated_process, "kern.pages_migrated_process",                            \
+    "pages moved by migrate_pages")                                                   \
+  X(pages_migrated_nexttouch, "kern.pages_migrated_nexttouch",                        \
+    "pages moved by next-touch faults")                                               \
+  X(tlb_shootdowns, "kern.tlb_shootdowns", "TLB shootdown rounds")                    \
+  X(signals_delivered, "kern.signals_delivered", "SIGSEGV deliveries")                \
+  X(replica_pages, "kern.replica_pages", "read replicas created")                     \
+  X(replica_collapses, "kern.replica_collapses", "replica sets a write collapsed")    \
+  X(migrations_failed, "kern.migrations_failed", "aborted + rolled back migrations")  \
+  X(migration_retries, "kern.migration_retries", "transient copy failures retried")   \
+  X(nexttouch_degraded, "kern.nexttouch_degraded",                                    \
+    "next-touch faults resolved without moving the page")                             \
+  X(shootdown_retries, "kern.shootdown_retries", "lost + re-sent shootdown IPIs")     \
+  X(signals_delayed, "kern.signals_delayed", "SIGSEGV deliveries delayed")            \
+  X(alloc_stalls, "kern.alloc_stalls", "first-touch reclaim stalls")                  \
+  X(kmigrated_batches, "kern.kmigrated.batches", "batches accepted by a daemon")      \
+  X(kmigrated_pages, "kern.kmigrated.pages", "pages migrated by daemons")             \
+  X(kmigrated_batches_dropped, "kern.kmigrated.batches_dropped",                      \
+    "batches lost on the queue (fault injection)")                                    \
+  X(kmigrated_pages_failed, "kern.kmigrated.pages_failed",                            \
+    "per-page ENOMEM inside a batch")                                                 \
+  X(numab_scans, "kern.numab.scans", "scan-clock windows executed")                   \
+  X(numab_pages_scanned, "kern.numab.pages_scanned", "PTEs tagged for hint faults")   \
+  X(numab_hint_faults, "kern.numab.hint_faults", "NUMA hint faults taken")            \
+  X(numab_hint_faults_local, "kern.numab.hint_faults_local",                          \
+    "hint faults whose page was already local")                                       \
+  X(numab_promotions_deferred, "kern.numab.promotions_deferred",                      \
+    "remote hint faults awaiting a second reference")                                 \
+  X(numab_pages_promoted, "kern.numab.pages_promoted", "pages handed to kmigrated")   \
+  X(numab_task_migrations, "kern.numab.task_migrations",                              \
+    "balancer core moves applied")                                                    \
+  X(numab_task_swaps, "kern.numab.task_swaps", "interchange pair swaps chosen")       \
+  X(txn_commits, "kern.migrate.txn.commits", "pages committed by atomic flip")        \
+  X(txn_dirty_retries, "kern.migrate.txn.dirty_retries", "dirty hits re-copied")      \
+  X(txn_degraded, "kern.migrate.txn.degraded",                                        \
+    "fell back to stop-and-copy or deferred")                                         \
+  X(txn_aborted, "kern.migrate.txn.aborted", "retry budget out / permanent fault")    \
+  X(tier_promotions, "kern.tier.promotions", "pages moved up-tier")                   \
+  X(tier_demotions, "kern.tier.demotions",                                            \
+    "pages moved down-tier (daemon or direct)")                                       \
+  X(tier_demote_passes, "kern.tier.demote_passes", "watermark/direct demotion walks") \
+  X(kmigrated_dropped_at_teardown, "kern.kmigrated.dropped",                          \
+    "pages of batches still in flight when the kernel was destroyed")
+
 /// Machine-wide counters (diagnostics, tests, numa_maps-style reports).
 struct KernelStats {
-  std::uint64_t minor_faults = 0;
-  std::uint64_t protection_faults = 0;
-  std::uint64_t nexttouch_faults = 0;
-  std::uint64_t pages_migrated_move = 0;
-  std::uint64_t pages_migrated_process = 0;
-  std::uint64_t pages_migrated_nexttouch = 0;
-  std::uint64_t tlb_shootdowns = 0;
-  std::uint64_t signals_delivered = 0;
-  std::uint64_t replica_pages = 0;
-  std::uint64_t replica_collapses = 0;
-  // Degraded-mode accounting (memory pressure / fault injection):
-  std::uint64_t migrations_failed = 0;   ///< aborted + rolled back migrations
-  std::uint64_t migration_retries = 0;   ///< transient copy failures retried
-  std::uint64_t nexttouch_degraded = 0;  ///< NT faults resolved without moving
-  std::uint64_t shootdown_retries = 0;   ///< lost + re-sent shootdown IPIs
-  std::uint64_t signals_delayed = 0;     ///< SIGSEGV deliveries delayed
-  std::uint64_t alloc_stalls = 0;        ///< first-touch reclaim stalls
-  // kmigrated (async per-node migration daemons):
-  std::uint64_t kmigrated_batches = 0;         ///< batches accepted by a daemon
-  std::uint64_t kmigrated_pages = 0;           ///< pages migrated by daemons
-  std::uint64_t kmigrated_batches_dropped = 0; ///< batches lost (fault injection)
-  std::uint64_t kmigrated_pages_failed = 0;    ///< per-page ENOMEM inside a batch
-  // Automatic NUMA balancing:
-  std::uint64_t numab_scans = 0;          ///< scan-clock windows executed
-  std::uint64_t numab_pages_scanned = 0;  ///< PTEs tagged for hint faults
-  std::uint64_t numab_hint_faults = 0;    ///< NUMA hint faults taken
-  std::uint64_t numab_hint_faults_local = 0;  ///< ... whose page was local
-  std::uint64_t numab_promotions_deferred = 0; ///< remote faults awaiting 2nd ref
-  std::uint64_t numab_pages_promoted = 0; ///< pages handed to kmigrated
-  std::uint64_t numab_task_migrations = 0;  ///< balancer core moves applied
-  std::uint64_t numab_task_swaps = 0;       ///< interchange pair swaps chosen
-  // Transactional migration (kern/txn_migrate):
-  std::uint64_t txn_commits = 0;        ///< pages committed by atomic flip
-  std::uint64_t txn_dirty_retries = 0;  ///< dirty hits re-copied with backoff
-  std::uint64_t txn_degraded = 0;       ///< fell back to stop-and-copy / deferred
-  std::uint64_t txn_aborted = 0;        ///< retry budget exhausted / permanent fault
-  // Memory tiering (kern/tiers):
-  std::uint64_t tier_promotions = 0;    ///< pages moved up-tier via numab/kmigrated
-  std::uint64_t tier_demotions = 0;     ///< pages moved down-tier (daemon or direct)
-  std::uint64_t tier_demote_passes = 0; ///< watermark/direct demotion walks run
-  // Always 0: the soft-TLB these counted was removed. Retained only because
-  // perfbench/harness.cpp still reads them.
+#define NUMASIM_KERNEL_STAT(field, name, doc) std::uint64_t field = 0;
+  NUMASIM_KERNEL_COUNTERS(NUMASIM_KERNEL_STAT)
+#undef NUMASIM_KERNEL_STAT
+  // Always 0 and bound to no counter: the soft-TLB these counted was
+  // removed. Retained only because perfbench/harness.cpp still reads them.
   std::uint64_t stlb_hits = 0;
   std::uint64_t stlb_misses = 0;
   std::uint64_t stlb_invalidations = 0;
-  /// Async kmigrated batches still in flight when the kernel was destroyed;
-  /// accounted (never silently dropped) so an attached metrics registry
-  /// keeps the evidence across kernel generations.
-  std::uint64_t kmigrated_dropped_at_teardown = 0;
+
+  bool operator==(const KernelStats&) const = default;
 };
 
 class Kernel {
@@ -252,7 +267,7 @@ class Kernel {
   EventLog* event_log() { return elog_; }
 
   /// Attach/detach a metrics registry (nullptr = off; not owned). The
-  /// kernel binds every KernelStats field as a "kern.*" counter, per-node
+  /// kernel binds every NUMASIM_KERNEL_COUNTERS entry as a counter, per-node
   /// used-frame gauges as "mem.used_frames.nodeN", and feeds latency
   /// histograms: kern.fault_service_ns, kern.migrate_page_ns,
   /// kern.lock_wait_ns, kern.shootdown_rounds. Detaching (or destroying the
@@ -633,6 +648,27 @@ class Kernel {
                                 sim::Time control_cost, sim::CostKind control_kind,
                                 sim::CostKind copy_kind, CopyBatch* copies);
 
+  /// The frame swap every migration ends in: copy the page's bytes (when
+  /// materialized) into `nf`, free the old frame, point `pte` at `nf` and
+  /// move the page's placement count. Returns the old frame's node. Inline:
+  /// it runs once per migrated page.
+  topo::NodeId remap_page(Process& p, vm::Pte& pte, vm::Vpn vpn, mem::FrameId nf) {
+    const topo::NodeId from = phys_.node_of(pte.frame);
+    if (std::byte* dst = phys_.data(nf)) {
+      if (const std::byte* src = phys_.data(pte.frame))
+        std::memcpy(dst, src, mem::kPageSize);
+    }
+    phys_.free(pte.frame);
+    pte.frame = nf;
+    p.placement.move(vpn, from, phys_.node_of(nf));
+    return from;
+  }
+
+  /// The frame release of munmap, madvise(MADV_DONTNEED) and teardown: for
+  /// every present page of [first, last), free its replicas and its frame,
+  /// drop its placement count and zero its PTE. Returns the pages released.
+  std::uint64_t release_pages(Process& p, vm::Vpn first, vm::Vpn last);
+
   /// One page of a stop-and-copy batch: the caller fills vpn..slot,
   /// migrate_batch() fills `result` (the rest is its scratch state).
   struct BatchMove {
@@ -793,6 +829,12 @@ class Kernel {
   }
   void trace_slow(const ThreadCtx& t, EventType type, vm::Vpn vpn,
                   std::uint64_t pages, topo::NodeId from, topo::NodeId to);
+
+  /// A trace event on `t`'s timeline with everything but its args filled:
+  /// a span runs from `ts` to t.clock, an instant has no duration.
+  static obs::TraceEvent trace_event(const ThreadCtx& t, obs::TraceEvent::Kind kind,
+                                     sim::Time ts, std::string_view cat,
+                                     std::string_view name);
 
   /// Fan an event out to every sink.
   void emit(const obs::TraceEvent& e) {

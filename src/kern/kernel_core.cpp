@@ -6,7 +6,6 @@
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "kern/kernel.hpp"
 
@@ -65,49 +64,9 @@ void Kernel::set_metrics(obs::Registry* reg) {
       h_kmigrated_batch_ = h_numab_scan_ = h_txn_retries_ = nullptr;
   if (reg == nullptr) return;
 
-  reg->bind_counter("kern.minor_faults", &kstats_.minor_faults);
-  reg->bind_counter("kern.protection_faults", &kstats_.protection_faults);
-  reg->bind_counter("kern.nexttouch_faults", &kstats_.nexttouch_faults);
-  reg->bind_counter("kern.pages_migrated_move", &kstats_.pages_migrated_move);
-  reg->bind_counter("kern.pages_migrated_process", &kstats_.pages_migrated_process);
-  reg->bind_counter("kern.pages_migrated_nexttouch",
-                    &kstats_.pages_migrated_nexttouch);
-  reg->bind_counter("kern.tlb_shootdowns", &kstats_.tlb_shootdowns);
-  reg->bind_counter("kern.signals_delivered", &kstats_.signals_delivered);
-  reg->bind_counter("kern.replica_pages", &kstats_.replica_pages);
-  reg->bind_counter("kern.replica_collapses", &kstats_.replica_collapses);
-  reg->bind_counter("kern.migrations_failed", &kstats_.migrations_failed);
-  reg->bind_counter("kern.migration_retries", &kstats_.migration_retries);
-  reg->bind_counter("kern.nexttouch_degraded", &kstats_.nexttouch_degraded);
-  reg->bind_counter("kern.shootdown_retries", &kstats_.shootdown_retries);
-  reg->bind_counter("kern.signals_delayed", &kstats_.signals_delayed);
-  reg->bind_counter("kern.alloc_stalls", &kstats_.alloc_stalls);
-  reg->bind_counter("kern.kmigrated.batches", &kstats_.kmigrated_batches);
-  reg->bind_counter("kern.kmigrated.pages", &kstats_.kmigrated_pages);
-  reg->bind_counter("kern.kmigrated.batches_dropped",
-                    &kstats_.kmigrated_batches_dropped);
-  reg->bind_counter("kern.kmigrated.pages_failed",
-                    &kstats_.kmigrated_pages_failed);
-  reg->bind_counter("kern.kmigrated.dropped",
-                    &kstats_.kmigrated_dropped_at_teardown);
-  reg->bind_counter("kern.migrate.txn.commits", &kstats_.txn_commits);
-  reg->bind_counter("kern.migrate.txn.dirty_retries",
-                    &kstats_.txn_dirty_retries);
-  reg->bind_counter("kern.migrate.txn.degraded", &kstats_.txn_degraded);
-  reg->bind_counter("kern.migrate.txn.aborted", &kstats_.txn_aborted);
-  reg->bind_counter("kern.numab.scans", &kstats_.numab_scans);
-  reg->bind_counter("kern.numab.pages_scanned", &kstats_.numab_pages_scanned);
-  reg->bind_counter("kern.numab.hint_faults", &kstats_.numab_hint_faults);
-  reg->bind_counter("kern.numab.hint_faults_local",
-                    &kstats_.numab_hint_faults_local);
-  reg->bind_counter("kern.numab.promotions_deferred",
-                    &kstats_.numab_promotions_deferred);
-  reg->bind_counter("kern.numab.pages_promoted", &kstats_.numab_pages_promoted);
-  reg->bind_counter("kern.numab.task_migrations", &kstats_.numab_task_migrations);
-  reg->bind_counter("kern.numab.task_swaps", &kstats_.numab_task_swaps);
-  reg->bind_counter("kern.tier.promotions", &kstats_.tier_promotions);
-  reg->bind_counter("kern.tier.demotions", &kstats_.tier_demotions);
-  reg->bind_counter("kern.tier.demote_passes", &kstats_.tier_demote_passes);
+#define NUMASIM_BIND_COUNTER(field, name, doc) reg->bind_counter(name, &kstats_.field);
+  NUMASIM_KERNEL_COUNTERS(NUMASIM_BIND_COUNTER)
+#undef NUMASIM_BIND_COUNTER
   reg->bind_gauge("kern.tier.fast_occupancy", [this] { return fast_occupancy_pct(); });
 
   for (topo::NodeId n = 0; n < topo_.num_nodes(); ++n) {
@@ -130,49 +89,40 @@ void Kernel::set_metrics(obs::Registry* reg) {
   h_txn_retries_ = &reg->histogram("kern.migrate.txn.retries");
 }
 
-void Kernel::trace_slow(const ThreadCtx& t, EventType type, vm::Vpn vpn,
-                        std::uint64_t pages, topo::NodeId from, topo::NodeId to) {
+obs::TraceEvent Kernel::trace_event(const ThreadCtx& t, obs::TraceEvent::Kind kind,
+                                    sim::Time ts, std::string_view cat,
+                                    std::string_view name) {
   obs::TraceEvent e;
-  e.kind = obs::TraceEvent::Kind::kInstant;
-  e.ts = t.clock;
+  e.kind = kind;
+  e.ts = ts;
+  if (kind == obs::TraceEvent::Kind::kSpan && t.clock >= ts) e.dur = t.clock - ts;
   e.pid = t.pid;
   e.tid = t.tid;
-  e.cat = "kern";
-  e.name = event_type_name(type);
-  e.add_arg("vpn", static_cast<std::int64_t>(vpn))
-      .add_arg("pages", static_cast<std::int64_t>(pages))
-      .add_arg("from",
-               from == topo::kInvalidNode ? -1 : static_cast<std::int64_t>(from))
-      .add_arg("to",
-               to == topo::kInvalidNode ? -1 : static_cast<std::int64_t>(to));
-  emit(e);
+  e.cat = cat;
+  e.name = name;
+  return e;
+}
+
+void Kernel::trace_slow(const ThreadCtx& t, EventType type, vm::Vpn vpn,
+                        std::uint64_t pages, topo::NodeId from, topo::NodeId to) {
+  emit(trace_event(t, obs::TraceEvent::Kind::kInstant, t.clock, "kern",
+                   event_type_name(type))
+           .add_arg("vpn", static_cast<std::int64_t>(vpn))
+           .add_arg("pages", static_cast<std::int64_t>(pages))
+           .add_arg("from", from == topo::kInvalidNode ? -1 : std::int64_t{from})
+           .add_arg("to", to == topo::kInvalidNode ? -1 : std::int64_t{to}));
 }
 
 void Kernel::emit_instant(const ThreadCtx& t, std::string_view name,
                           std::string_view cat) {
-  if (sinks_.empty()) return;
-  obs::TraceEvent e;
-  e.kind = obs::TraceEvent::Kind::kInstant;
-  e.ts = t.clock;
-  e.pid = t.pid;
-  e.tid = t.tid;
-  e.cat = cat;
-  e.name = name;
-  emit(e);
+  if (!sinks_.empty())
+    emit(trace_event(t, obs::TraceEvent::Kind::kInstant, t.clock, cat, name));
 }
 
 void Kernel::emit_span(const ThreadCtx& t, std::string_view name, sim::Time begin,
                        std::string_view cat) {
-  if (sinks_.empty()) return;
-  obs::TraceEvent e;
-  e.kind = obs::TraceEvent::Kind::kSpan;
-  e.ts = begin;
-  e.dur = t.clock >= begin ? t.clock - begin : 0;
-  e.pid = t.pid;
-  e.tid = t.tid;
-  e.cat = cat;
-  e.name = name;
-  emit(e);
+  if (!sinks_.empty())
+    emit(trace_event(t, obs::TraceEvent::Kind::kSpan, begin, cat, name));
 }
 
 Pid Kernel::create_process(std::string name) {
@@ -422,21 +372,12 @@ Kernel::MigrateResult Kernel::migrate_page(ThreadCtx& t, Process& p, vm::Pte& pt
   // so their samples cover the control path only (the copy is attributed to
   // the batch flush); inline callers include it.
   if (h_migrate_page_ != nullptr) h_migrate_page_->record(t.clock - begin);
-  if (!sinks_.empty()) {
-    obs::TraceEvent e;
-    e.kind = obs::TraceEvent::Kind::kSpan;
-    e.ts = begin;
-    e.dur = t.clock - begin;
-    e.pid = t.pid;
-    e.tid = t.tid;
-    e.cat = "kern";
-    e.name = "migrate-page";
-    e.add_arg("vpn", static_cast<std::int64_t>(vpn))
-        .add_arg("from", static_cast<std::int64_t>(from))
-        .add_arg("to", static_cast<std::int64_t>(target))
-        .add_arg("ok", r == MigrateResult::kOk ? 1 : 0);
-    emit(e);
-  }
+  if (!sinks_.empty())
+    emit(trace_event(t, obs::TraceEvent::Kind::kSpan, begin, "kern", "migrate-page")
+             .add_arg("vpn", static_cast<std::int64_t>(vpn))
+             .add_arg("from", from)
+             .add_arg("to", target)
+             .add_arg("ok", r == MigrateResult::kOk ? 1 : 0));
   return r;
 }
 
@@ -447,8 +388,7 @@ Kernel::MigrateResult Kernel::do_migrate_page(ThreadCtx& t, Process& p,
                                               sim::CostKind control_kind,
                                               sim::CostKind copy_kind,
                                               CopyBatch* copies) {
-  const mem::FrameId old_frame = pte.frame;
-  const topo::NodeId from = phys_.node_of(old_frame);
+  const topo::NodeId from = phys_.node_of(pte.frame);
 
   // Isolate→alloc: the destination frame must come from the target node.
   const mem::FrameId new_frame =
@@ -494,14 +434,7 @@ Kernel::MigrateResult Kernel::do_migrate_page(ThreadCtx& t, Process& p,
     return MigrateResult::kCopyFail;
   }
   charge_one_copy();
-
-  if (std::byte* dst = phys_.data(new_frame)) {
-    if (const std::byte* src = phys_.data(old_frame))
-      std::memcpy(dst, src, mem::kPageSize);
-  }
-  phys_.free(old_frame);
-  pte.frame = new_frame;
-  p.placement.move(vpn, from, phys_.node_of(new_frame));
+  remap_page(p, pte, vpn, new_frame);
   return MigrateResult::kOk;
 }
 
@@ -560,14 +493,7 @@ void Kernel::migrate_batch(ThreadCtx& t, Process& p, std::span<BatchMove> batch,
       trace(t, EventType::kMigrateFail, m.vpn, 1, m.from, m.to);
       continue;
     }
-    if (std::byte* dst = phys_.data(m.nf)) {
-      if (const std::byte* src = phys_.data(m.pte->frame))
-        std::memcpy(dst, src, mem::kPageSize);
-    }
-    const topo::NodeId pfrom = phys_.node_of(m.pte->frame);
-    phys_.free(m.pte->frame);
-    m.pte->frame = m.nf;
-    p.placement.move(m.vpn, pfrom, phys_.node_of(m.nf));
+    remap_page(p, *m.pte, m.vpn, m.nf);
   }
 }
 
@@ -686,18 +612,9 @@ bool Kernel::handle_fault(ThreadCtx& t, Process& p, vm::Vaddr addr, vm::Prot wan
   const sim::Time begin = t.clock;
   const bool retry = do_handle_fault(t, p, addr, want, res, copies);
   if (h_fault_ != nullptr) h_fault_->record(t.clock - begin);
-  if (!sinks_.empty()) {
-    obs::TraceEvent e;
-    e.kind = obs::TraceEvent::Kind::kSpan;
-    e.ts = begin;
-    e.dur = t.clock - begin;
-    e.pid = t.pid;
-    e.tid = t.tid;
-    e.cat = "kern";
-    e.name = "fault";
-    e.add_arg("vpn", static_cast<std::int64_t>(vm::vpn_of(addr)));
-    emit(e);
-  }
+  if (!sinks_.empty())
+    emit(trace_event(t, obs::TraceEvent::Kind::kSpan, begin, "kern", "fault")
+             .add_arg("vpn", static_cast<std::int64_t>(vm::vpn_of(addr))));
   return retry;
 }
 
@@ -1047,8 +964,13 @@ int Kernel::user_memcpy(ThreadCtx& t, vm::Vaddr dst, vm::Vaddr src,
 void Kernel::teardown_unmap(Pid pid, vm::Vaddr addr, std::uint64_t len) {
   if (len == 0) return;
   Process& p = proc(pid);
-  const vm::Vpn vend = vm::vpn_of(vm::page_align_up(addr + len));
-  auto teardown_run = [&](vm::PageRun run) {
+  release_pages(p, vm::vpn_of(addr), vm::vpn_of(vm::page_align_up(addr + len)));
+  p.as.unmap(addr, len);
+}
+
+std::uint64_t Kernel::release_pages(Process& p, vm::Vpn first, vm::Vpn last) {
+  std::uint64_t released = 0;
+  p.as.page_table().for_each_run(first, last, [&](vm::PageRun run) {
     vm::Vpn vpn = run.first;
     for (vm::Pte& pte : run.ptes) {
       const vm::Vpn v = vpn++;
@@ -1056,10 +978,11 @@ void Kernel::teardown_unmap(Pid pid, vm::Vaddr addr, std::uint64_t len) {
       for (mem::FrameId f : p.replicas.take(v)) phys_.free(f);
       p.placement.dec(v, phys_.node_of(pte.frame));
       phys_.free(pte.frame);
+      pte = vm::Pte{};
+      ++released;
     }
-  };
-  p.as.page_table().for_each_run(vm::vpn_of(addr), vend, teardown_run);
-  p.as.unmap(addr, len);
+  });
+  return released;
 }
 
 topo::NodeId Kernel::page_node(Pid pid, vm::Vaddr addr) const {
@@ -1139,11 +1062,14 @@ std::uint64_t Kernel::pages_on_node(Pid pid, vm::Vaddr addr, std::uint64_t len,
 void Kernel::validate(Pid pid) const {
   const Process& p = proc(pid);
   std::uint64_t referenced = 0;
-  std::unordered_set<mem::FrameId> seen;
+  // One bit per frame id; claim() runs only on live frames, which are all
+  // below the limit.
+  std::vector<bool> seen(phys_.frame_id_limit());
   auto claim = [&seen](mem::FrameId f, const char* what) {
-    if (!seen.insert(f).second)
+    if (seen[f])
       throw std::logic_error{std::string{"validate: frame double-mapped ("} +
                              what + ")"};
+    seen[f] = true;
   };
   p.as.for_each([&](const vm::Vma& vma) {
     auto check_run = [&](vm::ConstPageRun run) {

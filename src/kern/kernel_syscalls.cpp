@@ -35,21 +35,9 @@ SyscallResult Kernel::sys_munmap(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len
   if (cfg_.lock_model != LockModel::kRange)
     charge(t, cost_.munmap_base, sim::CostKind::kSyscallEntry);
 
-  // Free the frames, then drop VMAs + PTEs.
-  std::uint64_t present = 0;
-  const vm::Vpn vend = vm::vpn_of(vm::page_align_up(addr + len));
-  auto free_run = [&](vm::PageRun run) {
-    vm::Vpn vpn = run.first;
-    for (vm::Pte& pte : run.ptes) {
-      const vm::Vpn v = vpn++;
-      if (!pte.present()) continue;
-      for (mem::FrameId f : p.replicas.take(v)) phys_.free(f);
-      p.placement.dec(v, phys_.node_of(pte.frame));
-      phys_.free(pte.frame);
-      ++present;
-    }
-  };
-  p.as.page_table().for_each_run(vm::vpn_of(addr), vend, free_run);
+  // Free the frames, then drop the VMAs.
+  const std::uint64_t present =
+      release_pages(p, vm::vpn_of(addr), vm::vpn_of(vm::page_align_up(addr + len)));
   p.as.unmap(addr, len);
   if (cfg_.lock_model == LockModel::kRange) {
     // One exclusive whole-space hold covers base + teardown + shootdown.
@@ -143,21 +131,8 @@ SyscallResult Kernel::do_madvise(ThreadCtx& t, vm::Vaddr addr, std::uint64_t len
 
     case Advice::kDontNeed: {
       // Drop the pages: the next touch zero-fill-allocates afresh.
-      std::uint64_t dropped = 0;
-      const vm::Vpn vend = vm::vpn_of(vm::page_align_up(addr + len));
-      auto drop_run = [&](vm::PageRun run) {
-        vm::Vpn vpn = run.first;
-        for (vm::Pte& pte : run.ptes) {
-          const vm::Vpn v = vpn++;
-          if (!pte.present()) continue;
-          for (mem::FrameId f : p.replicas.take(v)) phys_.free(f);
-          p.placement.dec(v, phys_.node_of(pte.frame));
-          phys_.free(pte.frame);
-          pte = vm::Pte{};
-          ++dropped;
-        }
-      };
-      p.as.page_table().for_each_run(vm::vpn_of(addr), vend, drop_run);
+      const std::uint64_t dropped = release_pages(
+          p, vm::vpn_of(addr), vm::vpn_of(vm::page_align_up(addr + len)));
       const sim::Time work = cost_.madvise_base + cost_.page_free * dropped +
                              shootdown_cost(t);
       charge(t, work, sim::CostKind::kMadvise);
@@ -432,19 +407,10 @@ void Kernel::move_pages_chunk(ThreadCtx& t, std::span<const vm::Vaddr> chunk,
           moves.front().from, moves.front().to);
   serialize_migration(t, p, span_lo, span_hi, entry, moves.size(),
                       move_pages_serial_share());
-  if (!sinks_.empty()) {
-    obs::TraceEvent e;
-    e.kind = obs::TraceEvent::Kind::kSpan;
-    e.ts = entry;
-    e.dur = t.clock - entry;
-    e.pid = t.pid;
-    e.tid = t.tid;
-    e.cat = "kern";
-    e.name = "move_pages_chunk";
-    e.add_arg("pages", static_cast<std::int64_t>(chunk.size()))
-        .add_arg("moves", static_cast<std::int64_t>(moves.size()));
-    emit(e);
-  }
+  if (!sinks_.empty())
+    emit(trace_event(t, obs::TraceEvent::Kind::kSpan, entry, "kern", "move_pages_chunk")
+             .add_arg("pages", static_cast<std::int64_t>(chunk.size()))
+             .add_arg("moves", static_cast<std::int64_t>(moves.size())));
 }
 
 SyscallResult Kernel::sys_move_pages(ThreadCtx& t, std::span<const vm::Vaddr> pages,

@@ -2,7 +2,6 @@
 // submission, execution on the daemon timelines, draining, and the
 // next-touch migrate-ahead window.
 #include <algorithm>
-#include <cstring>
 
 #include "kern/kernel.hpp"
 
@@ -142,13 +141,7 @@ std::uint64_t Kernel::submit_kmigrated_batch(ThreadCtx& t, Process& p,
           const sim::Slot c = hw_.copy(copy_cursor, from, node, mem::kPageSize,
                                        cost_.kernel_copy_bytes_per_us);
           copy_cursor = c.finish;
-          if (std::byte* dst = phys_.data(nf)) {
-            if (const std::byte* src = phys_.data(pte->frame))
-              std::memcpy(dst, src, mem::kPageSize);
-          }
-          phys_.free(pte->frame);
-          pte->frame = nf;
-          p.placement.move(vpn, from, phys_.node_of(nf));
+          remap_page(p, *pte, vpn, nf);
           ++moved;
           ++kstats_.kmigrated_pages;
         }
@@ -182,20 +175,14 @@ std::uint64_t Kernel::submit_kmigrated_batch(ThreadCtx& t, Process& p,
   ++kstats_.kmigrated_batches;
   if (h_kmigrated_batch_ != nullptr)
     h_kmigrated_batch_->record(slot.finish - submit);
-  if (!sinks_.empty()) {
-    obs::TraceEvent e;
-    e.kind = obs::TraceEvent::Kind::kInstant;
-    e.ts = slot.finish;  // stamped at completion, on the daemon's timeline
-    e.pid = t.pid;
-    e.tid = t.tid;
-    e.cat = "kern";
-    e.name = event_type_name(EventType::kKmigratedComplete);
-    e.add_arg("vpn", static_cast<std::int64_t>(vm::vpn_of(addr)))
-        .add_arg("pages", static_cast<std::int64_t>(moved))
-        .add_arg("from", -1)
-        .add_arg("to", static_cast<std::int64_t>(node));
-    emit(e);
-  }
+  // Stamped at completion, on the daemon's timeline.
+  if (!sinks_.empty())
+    emit(trace_event(t, obs::TraceEvent::Kind::kInstant, slot.finish, "kern",
+                     event_type_name(EventType::kKmigratedComplete))
+             .add_arg("vpn", static_cast<std::int64_t>(vm::vpn_of(addr)))
+             .add_arg("pages", static_cast<std::int64_t>(moved))
+             .add_arg("from", -1)
+             .add_arg("to", node));
   return moved;
 }
 

@@ -2,8 +2,6 @@
 // Kernel::do_migrate_page_txn, the one-call driver the migration paths use.
 #include "kern/txn_migrate.hpp"
 
-#include <cstring>
-
 #include "kern/kernel.hpp"
 
 namespace numasim::kern {
@@ -127,15 +125,8 @@ void TxnMigrator::do_commit(ThreadCtx& t) {
     return;
   }
   k_.charge(t, k_.cost_.txn_commit, control_kind_);
-  const topo::NodeId from = k_.phys_.node_of(pte->frame);
-  if (std::byte* dst = k_.phys_.data(shadow_)) {
-    if (const std::byte* src = k_.phys_.data(pte->frame))
-      std::memcpy(dst, src, mem::kPageSize);
-  }
-  k_.phys_.free(pte->frame);
   k_.phys_.clear_shadow(shadow_);
-  pte->frame = shadow_;
-  k_.proc(pid_).placement.move(vpn_, from, k_.phys_.node_of(shadow_));
+  const topo::NodeId from = k_.remap_page(k_.proc(pid_), *pte, vpn_, shadow_);
   shadow_ = mem::kInvalidFrame;
   pte->clear(vm::Pte::kTxn | vm::Pte::kHwRead | vm::Pte::kHwWrite);
   pte->set(hw_bits_);
@@ -202,21 +193,12 @@ Kernel::TxnResult Kernel::do_migrate_page_txn(ThreadCtx& t, Process& p,
   const sim::Time begin = t.clock;
   TxnMigrator txn(*this, p.pid, vpn, target, control_kind, copy_kind);
   const TxnState end = txn.run(t);
-  if (!sinks_.empty()) {
-    obs::TraceEvent e;
-    e.kind = obs::TraceEvent::Kind::kSpan;
-    e.ts = begin;
-    e.dur = t.clock - begin;
-    e.pid = t.pid;
-    e.tid = t.tid;
-    e.cat = "kern";
-    e.name = "txn-migrate";
-    e.add_arg("vpn", static_cast<std::int64_t>(vpn))
-        .add_arg("to", static_cast<std::int64_t>(target))
-        .add_arg("retries", static_cast<std::int64_t>(txn.retries()))
-        .add_arg("committed", end == TxnState::kCommitted ? 1 : 0);
-    emit(e);
-  }
+  if (!sinks_.empty())
+    emit(trace_event(t, obs::TraceEvent::Kind::kSpan, begin, "kern", "txn-migrate")
+             .add_arg("vpn", static_cast<std::int64_t>(vpn))
+             .add_arg("to", target)
+             .add_arg("retries", txn.retries())
+             .add_arg("committed", end == TxnState::kCommitted ? 1 : 0));
   return end == TxnState::kCommitted ? TxnResult::kCommitted
                                      : TxnResult::kDegraded;
 }

@@ -126,6 +126,8 @@ class PhysMem {
   std::uint64_t tier_capacity_frames(topo::MemTier t) const;
   void audit_tiers() const;
 
+  /// One past the highest frame id handed out so far.
+  std::size_t frame_id_limit() const { return frames_.size(); }
   /// True when `f` is a live allocated frame (consistency checks).
   bool is_live(FrameId f) const {
     return f < frames_.size() && frames_[f].in_use;

@@ -1,9 +1,10 @@
-// Two-level radix page table keyed by virtual page number.
+// Page table keyed by virtual page number: a hash map from chunk number to
+// a chunk of 512 PTEs, plus a one-entry cache of the last chunk looked up.
 //
-// Chunks of 512 PTEs (one 2 MiB-aligned region each) give dense storage and
+// Chunks (one 2 MiB-aligned region each) give dense storage and
 // cache-friendly walks for the multi-million-page worksets of Table 1, while
-// staying sparse across the 48-bit address space. A one-entry chunk cache
-// accelerates the sequential walks the kernel does constantly.
+// the hash map stays sparse across the 48-bit address space. The one-entry
+// cache serves the sequential walks the kernel does constantly.
 //
 // Range walks go through the PageRun span API (for_each_run): one hash
 // lookup per 512-page chunk instead of one per page, with the PTEs of each

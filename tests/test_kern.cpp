@@ -5,7 +5,6 @@
 // these tests drive it directly with hand-built ThreadCtx objects.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <functional>
 #include <numeric>
 #include <stdexcept>
@@ -847,7 +846,7 @@ class StridedTwinTest : public ::testing::Test {
     EXPECT_EQ(r1.nexttouch_hits_local, r2.nexttouch_hits_local);
     EXPECT_EQ(r1.sigsegv_delivered, r2.sigsegv_delivered);
     EXPECT_EQ(nodes1, nodes2);
-    EXPECT_EQ(stats_words(one_.k.stats()), stats_words(per_row_.k.stats()));
+    EXPECT_EQ(one_.k.stats(), per_row_.k.stats());
     const vm::PageTable& pt1 = one_.k.address_space(one_.pid).page_table();
     const vm::PageTable& pt2 = per_row_.k.address_space(per_row_.pid).page_table();
     for (std::uint64_t i = 0; i < kRegionPages; ++i) {
@@ -864,13 +863,6 @@ class StridedTwinTest : public ::testing::Test {
     }
     EXPECT_NO_THROW(one_.k.validate(t1));
     EXPECT_NO_THROW(per_row_.k.validate(t2));
-  }
-
-  static std::vector<std::uint64_t> stats_words(const KernelStats& s) {
-    static_assert(sizeof(KernelStats) % sizeof(std::uint64_t) == 0);
-    std::vector<std::uint64_t> w(sizeof(KernelStats) / sizeof(std::uint64_t));
-    std::memcpy(w.data(), &s, sizeof(KernelStats));
-    return w;
   }
 
   topo::Topology topo_ = topo::Topology::quad_opteron();
@@ -955,6 +947,24 @@ TEST_F(StridedTwinTest, ReplicaReads) {
                      .want = vm::Prot::kRead, .core = core});
   }
   EXPECT_GT(one_.k.replica_pages(one_.pid), 0u);
+}
+
+TEST_F(KernelTest, ValidateRejectsOneFrameAtTwoPtes) {
+  ThreadCtx t = ctx_on(0);
+  const std::uint64_t len = 2 * mem::kPageSize;
+  const vm::Vaddr a = k_.sys_mmap(t, len, vm::Prot::kReadWrite);
+  k_.access(t, a, len, vm::Prot::kWrite, 0.0);
+  EXPECT_NO_THROW(k_.validate(pid_));
+  // Point the second page at the first page's frame, as a remap that forgot
+  // to swap frames would.
+  vm::PageTable& pt = k_.address_space(pid_).page_table();
+  pt.find(vm::vpn_of(a) + 1)->frame = pt.find(vm::vpn_of(a))->frame;
+  try {
+    k_.validate(pid_);
+    ADD_FAILURE() << "validate() accepted a double-mapped frame";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "validate: frame double-mapped (pte)");
+  }
 }
 
 TEST_F(KernelTest, ValidateThreadRejectsForeignNumabCache) {

@@ -3,7 +3,6 @@
 // access performance from anywhere").
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <vector>
 
 #include "kern/kernel.hpp"
@@ -245,7 +244,7 @@ TEST_P(FrameReleaseTest, FreesHomeAndReplicaFrames) {
       k_.teardown_unmap(pid_, a, len);
       k_.remove_trace_sink(&sink);
       EXPECT_EQ(sink.events, 0u);
-      EXPECT_EQ(std::memcmp(&stats, &k_.stats(), sizeof stats), 0);
+      EXPECT_EQ(k_.stats(), stats);
       EXPECT_EQ(k_.kmigrated().drained_at(), drained);
       const sim::Time start = probe.clock;
       k_.sys_mprotect(probe, keep, keep_len, vm::Prot::kReadWrite);
